@@ -51,6 +51,8 @@ trainMlp(TensetMlpNet &net, const data::LabeledSet &set,
     adam_options.weight_decay = options.weight_decay;
     nn::Adam adam(net.parameters(), adam_options);
     TrainSupervisor supervisor(net.parameters(), adam, options.supervisor);
+    // Every step attempt reuses the previous step's tape buffers.
+    nn::TapePool tape;
 
     // Group-aware batches (rank loss needs in-group pairs).
     std::map<int, std::vector<int>> by_group;
@@ -100,6 +102,7 @@ trainMlp(TensetMlpNet &net, const data::LabeledSet &set,
                 std::move(data));
             double batch_loss = 0.0;
             const StepOutcome outcome = supervisor.step([&] {
+                tape.restart();
                 adam.zeroGrad();
                 Tensor pred = net.forward(x);
                 Tensor loss = options.use_rank_loss

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "support/arena.h"
 #include "support/thread_pool.h"
 
 namespace tlp::nn::kern {
@@ -14,20 +15,58 @@ constexpr int64_t kKBlock = 64;
 /** I-block size for the transposed update (dC panel reuse). */
 constexpr int64_t kIBlock = 64;
 
-/** Serial micro-kernel: GA rows [i0, i1) of GA += GC * B^T. */
-void
-gemmNTRows(const float *TLP_RESTRICT gc, const float *TLP_RESTRICT b,
-           float *TLP_RESTRICT ga, int64_t i0, int64_t i1, int64_t k,
-           int64_t n)
+/** P-block width of the packed transposed update (stack accumulators). */
+constexpr int64_t kPBlock = 256;
+
+/**
+ * Scratch for @p count floats from the calling thread's arena, valid
+ * until the thread's next call (the arena stops growing once it has
+ * seen the largest request).
+ */
+float *
+threadScratch(int64_t count)
 {
+    thread_local Arena scratch;
+    scratch.reset();
+    return scratch.allocFloats(static_cast<size_t>(count));
+}
+
+/** BT[n, k] = B[k, n]^T. */
+void
+packTransposed(const float *TLP_RESTRICT b, float *TLP_RESTRICT bt,
+               int64_t k, int64_t n)
+{
+    for (int64_t p = 0; p < k; ++p)
+        for (int64_t j = 0; j < n; ++j)
+            bt[j * k + p] = b[p * n + j];
+}
+
+/**
+ * Serial micro-kernel: GA rows [i0, i1) of GA += GC * B^T, with B^T
+ * packed as bt[n, k]. Per (i, p) the j sum starts from 0 and runs in
+ * ascending order, then lands on GA once; the p loop is innermost, an
+ * axpy over a contiguous bt row that the compiler vectorises.
+ */
+void
+gemmNTPackedRows(const float *TLP_RESTRICT gc, const float *TLP_RESTRICT bt,
+                 float *TLP_RESTRICT ga, int64_t i0, int64_t i1, int64_t k,
+                 int64_t n)
+{
+    float acc[kPBlock];
     for (int64_t i = i0; i < i1; ++i) {
         const float *gcrow = gc + i * n;
-        for (int64_t p = 0; p < k; ++p) {
-            const float *brow = b + p * n;
-            float acc = 0.0f;
-            for (int64_t j = 0; j < n; ++j)
-                acc += gcrow[j] * brow[j];
-            ga[i * k + p] += acc;
+        float *TLP_RESTRICT garow = ga + i * k;
+        for (int64_t p0 = 0; p0 < k; p0 += kPBlock) {
+            const int64_t width = std::min(kPBlock, k - p0);
+            std::fill(acc, acc + width, 0.0f);
+            for (int64_t j = 0; j < n; ++j) {
+                const float g = gcrow[j];
+                const float *TLP_RESTRICT btrow = bt + j * k + p0;
+                for (int64_t p = 0; p < width; ++p)
+                    acc[p] += g * btrow[p];
+            }
+            for (int64_t p = 0; p < width; ++p)
+                garow[p0 + p] += acc[p];
         }
     }
 }
@@ -144,9 +183,11 @@ void
 gemmNT(const float *gc, const float *b, float *ga, int64_t m, int64_t k,
        int64_t n)
 {
+    float *bt = threadScratch(k * n);
+    packTransposed(b, bt, k, n);
     ThreadPool::global().parallelFor(
         0, m, rowGrain(k * n), [&](int64_t i0, int64_t i1) {
-            gemmNTRows(gc, b, ga, i0, i1, k, n);
+            gemmNTPackedRows(gc, bt, ga, i0, i1, k, n);
         });
 }
 
@@ -179,9 +220,12 @@ bmmNT(const float *gc, const float *b, float *ga, int64_t batch, int64_t m,
 {
     ThreadPool::global().parallelFor(
         0, batch, rowGrain(m * k * n), [&](int64_t s0, int64_t s1) {
+            // Each worker packs B[s]^T into its own scratch.
+            float *bt = threadScratch(k * n);
             for (int64_t s = s0; s < s1; ++s) {
-                gemmNTRows(gc + s * m * n, b + s * k * n, ga + s * m * k,
-                           0, m, k, n);
+                packTransposed(b + s * k * n, bt, k, n);
+                gemmNTPackedRows(gc + s * m * n, bt, ga + s * m * k, 0, m,
+                                 k, n);
             }
         });
 }

@@ -3,18 +3,26 @@
  * Cache-blocked, thread-parallel compute kernels under the autograd ops.
  *
  * Every kernel distributes disjoint output row (or batch) ranges across
- * the global ThreadPool and keeps the per-element floating-point
- * accumulation order identical to the naive i-k-j loops it replaced —
- * k-blocks are visited in increasing order, and each output element is
- * owned by exactly one thread — so results are bit-identical for any
- * thread count (no atomics, no cross-thread reductions) and to the
- * original scalar code.
+ * the global ThreadPool and gives each output element a fixed
+ * accumulation order that does not depend on the partition — k-blocks
+ * are visited in increasing order, and each output element is owned by
+ * exactly one thread — so results are bit-identical for any thread
+ * count (no atomics, no cross-thread reductions).
  *
- * The serial micro-kernels take `__restrict`-qualified pointers (the
- * operands never alias) and unroll the k panel four-wide with a single
- * sequential accumulator chain per output element — the compiler keeps
- * the C row in registers/vectors across four FMA streams instead of a
- * load/store per multiply, without reordering any float addition.
+ * gemm/gemmTN keep the per-element order of the naive i-k-j loops they
+ * replaced: their micro-kernels take `__restrict`-qualified pointers
+ * (the operands never alias) and unroll the k panel four-wide with a
+ * single sequential accumulator chain per output element — the compiler
+ * keeps the C row in registers/vectors across four FMA streams instead
+ * of a load/store per multiply, without reordering any float addition.
+ *
+ * gemmNT/bmmNT (dA = dC * B^T) pack B^T once per call (per batch entry
+ * for bmmNT) into the calling thread's arena scratch. Each GA(i, p)
+ * then sums j = 0, 1, ... n-1 from zero and adds the total to GA once,
+ * with the p loop innermost as a vectorisable axpy over a packed row.
+ * The order is fixed, so the contract above holds; the bits still
+ * depend on where the compiler contracts multiply-adds into FMAs, so a
+ * dot-product loop over the same j order does not reproduce them.
  *
  * The forward micro-kernels (gemmRows / bmm's per-batch body) are
  * exported and marked noinline: the fused inference path (nn/infer_ops,
@@ -63,7 +71,10 @@ TLP_NOINLINE void gemmRows(const float *TLP_RESTRICT a,
 void gemm(const float *a, const float *b, float *c, int64_t m, int64_t k,
           int64_t n);
 
-/** GA[m, k] += GC[m, n] * B[k, n]^T (the dA = dC * B^T update). */
+/**
+ * GA[m, k] += GC[m, n] * B[k, n]^T (the dA = dC * B^T update), with B^T
+ * packed once into the calling thread's scratch.
+ */
 void gemmNT(const float *gc, const float *b, float *ga, int64_t m,
             int64_t k, int64_t n);
 

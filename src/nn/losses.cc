@@ -13,7 +13,7 @@ mseLoss(const Tensor &pred, const std::vector<float> &targets)
               "mse target size mismatch");
     auto node = std::make_shared<Node>();
     node->shape = {1};
-    node->value.resize(1);
+    node->allocValue(1);
     node->parents = {pred.node()};
     node->requires_grad = pred.requiresGrad();
 
@@ -69,7 +69,7 @@ rankLoss(const Tensor &pred, const std::vector<float> &targets,
 
     auto node = std::make_shared<Node>();
     node->shape = {1};
-    node->value.resize(1);
+    node->allocValue(1);
     node->parents = {pred.node()};
     node->requires_grad = pred.requiresGrad();
 

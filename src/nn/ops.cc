@@ -17,11 +17,21 @@ makeNode(std::vector<int> shape,
 {
     auto node = std::make_shared<Node>();
     node->shape = std::move(shape);
-    node->value.resize(static_cast<size_t>(shapeNumel(node->shape)));
+    node->allocValue(shapeNumel(node->shape));
     node->parents = std::move(parents);
     for (const auto &parent : node->parents)
         node->requires_grad |= parent->requires_grad;
     return node;
+}
+
+/**
+ * Grad buffer of a backward_fn's parent, or nullptr when that parent
+ * does not require grad (Tensor::backward gave it no buffer).
+ */
+float *
+gradOrNull(Node &parent)
+{
+    return parent.requires_grad ? parent.grad.data() : nullptr;
 }
 
 /** Leading dims x last dim factorization. */
@@ -75,8 +85,10 @@ add(const Tensor &a, const Tensor &b)
                 [=](int64_t i) { out[i] = av[i] + bv[i]; });
     node->backward_fn = [](Node &self) {
         const float *g = self.grad.data();
-        for (int p = 0; p < 2; ++p) {
-            float *grad = self.parents[static_cast<size_t>(p)]->grad.data();
+        for (const auto &parent : self.parents) {
+            float *grad = gradOrNull(*parent);
+            if (grad == nullptr)
+                continue;
             parallelMap(self.numel(), kCheapGrain,
                         [=](int64_t i) { grad[i] += g[i]; });
         }
@@ -101,8 +113,8 @@ addBias(const Tensor &x, const Tensor &bias)
                 out[r * cols_c + c] = xv[r * cols_c + c] + bv[c];
     });
     node->backward_fn = [rows_c, cols_c](Node &self) {
-        float *gx = self.parents[0]->grad.data();
-        float *gb = self.parents[1]->grad.data();
+        float *gx = gradOrNull(*self.parents[0]);
+        float *gb = gradOrNull(*self.parents[1]);
         const float *g = self.grad.data();
         // Partition by columns: each chunk owns a disjoint slice of both
         // gx and gb, and per column the row accumulation order into
@@ -113,8 +125,10 @@ addBias(const Tensor &x, const Tensor &bias)
                 for (int64_t r = 0; r < rows_c; ++r) {
                     for (int64_t c = c0; c < c1; ++c) {
                         const float gv = g[r * cols_c + c];
-                        gx[r * cols_c + c] += gv;
-                        gb[c] += gv;
+                        if (gx != nullptr)
+                            gx[r * cols_c + c] += gv;
+                        if (gb != nullptr)
+                            gb[c] += gv;
                     }
                 }
             });
@@ -133,15 +147,19 @@ mul(const Tensor &a, const Tensor &b)
     parallelMap(node->numel(), kCheapGrain,
                 [=](int64_t i) { out[i] = av[i] * bv[i]; });
     node->backward_fn = [](Node &self) {
-        float *ga = self.parents[0]->grad.data();
-        float *gb = self.parents[1]->grad.data();
+        float *ga = gradOrNull(*self.parents[0]);
+        float *gb = gradOrNull(*self.parents[1]);
         const float *av = self.parents[0]->value.data();
         const float *bv = self.parents[1]->value.data();
         const float *g = self.grad.data();
-        parallelMap(self.numel(), kCheapGrain, [=](int64_t i) {
-            ga[i] += g[i] * bv[i];
-            gb[i] += g[i] * av[i];
-        });
+        if (ga != nullptr) {
+            parallelMap(self.numel(), kCheapGrain,
+                        [=](int64_t i) { ga[i] += g[i] * bv[i]; });
+        }
+        if (gb != nullptr) {
+            parallelMap(self.numel(), kCheapGrain,
+                        [=](int64_t i) { gb[i] += g[i] * av[i]; });
+        }
     };
     return Tensor::fromNode(std::move(node));
 }
@@ -177,11 +195,13 @@ matmul(const Tensor &a, const Tensor &b)
     node->backward_fn = [m, k, n](Node &self) {
         const float *av = self.parents[0]->value.data();
         const float *bv = self.parents[1]->value.data();
-        float *ga = self.parents[0]->grad.data();
-        float *gb = self.parents[1]->grad.data();
+        float *ga = gradOrNull(*self.parents[0]);
+        float *gb = gradOrNull(*self.parents[1]);
         const float *gc = self.grad.data();
-        kern::gemmNT(gc, bv, ga, m, k, n);   // dA += dC * B^T
-        kern::gemmTN(av, gc, gb, m, k, n);   // dB += A^T * dC
+        if (ga != nullptr)
+            kern::gemmNT(gc, bv, ga, m, k, n);   // dA += dC * B^T
+        if (gb != nullptr)
+            kern::gemmTN(av, gc, gb, m, k, n);   // dB += A^T * dC
     };
     return Tensor::fromNode(std::move(node));
 }
@@ -202,11 +222,13 @@ bmm(const Tensor &a, const Tensor &b)
     node->backward_fn = [batch, m, k, n](Node &self) {
         const float *av = self.parents[0]->value.data();
         const float *bv = self.parents[1]->value.data();
-        float *ga = self.parents[0]->grad.data();
-        float *gb = self.parents[1]->grad.data();
+        float *ga = gradOrNull(*self.parents[0]);
+        float *gb = gradOrNull(*self.parents[1]);
         const float *gc = self.grad.data();
-        kern::bmmNT(gc, bv, ga, batch, m, k, n);
-        kern::bmmTN(av, gc, gb, batch, m, k, n);
+        if (ga != nullptr)
+            kern::bmmNT(gc, bv, ga, batch, m, k, n);
+        if (gb != nullptr)
+            kern::bmmTN(av, gc, gb, batch, m, k, n);
     };
     return Tensor::fromNode(std::move(node));
 }
@@ -560,10 +582,12 @@ stackAxis1(const std::vector<Tensor> &slices)
     }
     node->backward_fn = [n, l, d](Node &self) {
         for (int64_t t = 0; t < l; ++t) {
-            auto &gs = self.parents[static_cast<size_t>(t)]->grad;
+            float *gs = gradOrNull(*self.parents[static_cast<size_t>(t)]);
+            if (gs == nullptr)
+                continue;
             for (int64_t r = 0; r < n; ++r) {
                 const float *gout = self.grad.data() + (r * l + t) * d;
-                float *gin = gs.data() + r * d;
+                float *gin = gs + r * d;
                 for (int64_t c = 0; c < d; ++c)
                     gin[c] += gout[c];
             }
@@ -644,9 +668,9 @@ layerNorm(const Tensor &x, const Tensor &gamma, const Tensor &beta,
         iops::layerNormRows(xv, gv, bv, outv, statv, r0, r1, cols_c, eps);
     });
     node->backward_fn = [rows_c, cols_c, stats](Node &self) {
-        float *gx = self.parents[0]->grad.data();
-        float *gg = self.parents[1]->grad.data();
-        float *gb = self.parents[2]->grad.data();
+        float *gx = gradOrNull(*self.parents[0]);
+        float *gg = gradOrNull(*self.parents[1]);
+        float *gb = gradOrNull(*self.parents[2]);
         const float *xv = self.parents[0]->value.data();
         const float *gv = self.parents[1]->value.data();
         const float *gyv = self.grad.data();
@@ -664,11 +688,15 @@ layerNorm(const Tensor &x, const Tensor &gamma, const Tensor &beta,
                     const float *gy = gyv + r * cols_c;
                     for (int64_t c = c0; c < c1; ++c) {
                         const float xhat = (in[c] - mean) * inv_std;
-                        gg[c] += gy[c] * xhat;
-                        gb[c] += gy[c];
+                        if (gg != nullptr)
+                            gg[c] += gy[c] * xhat;
+                        if (gb != nullptr)
+                            gb[c] += gy[c];
                     }
                 }
             });
+        if (gx == nullptr)
+            return;
         // Pass 2 — input grads, partitioned by rows (disjoint gx rows).
         parallelRows(rows_c, 8 * cols_c, [=](int64_t r0, int64_t r1) {
             for (int64_t r = r0; r < r1; ++r) {

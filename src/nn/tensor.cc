@@ -1,9 +1,20 @@
 #include "nn/tensor.h"
 
 #include <algorithm>
+#include <atomic>
 #include <unordered_set>
 
 namespace tlp::nn {
+
+namespace {
+
+/** Innermost live TapePool of this thread (nullptr outside any). */
+thread_local TapePool *t_active_pool = nullptr;
+
+/** Pool ids start at 1; 0 marks a node whose buffers are heap memory. */
+std::atomic<uint64_t> g_next_pool_id{1};
+
+} // namespace
 
 int64_t
 shapeNumel(const std::vector<int> &shape)
@@ -16,11 +27,102 @@ shapeNumel(const std::vector<int> &shape)
     return count;
 }
 
+Node::~Node()
+{
+    TapePool *pool = t_active_pool;
+    if (pool == nullptr || pool->id_ != pool_id)
+        return;   // not lent, another thread, or the pool has ended
+    if (value_slot >= 0)
+        pool->park(value_slot, value);
+    if (grad_slot >= 0)
+        pool->park(grad_slot, grad);
+}
+
+void
+Node::allocValue(int64_t count)
+{
+    TapePool *pool = t_active_pool;
+    if (pool == nullptr) {
+        value.assign(static_cast<size_t>(count), 0.0f);
+        return;
+    }
+    pool_id = pool->id_;
+    value_slot = pool->lend(value, count);
+}
+
 void
 Node::ensureGrad()
 {
-    if (grad.size() != value.size())
-        grad.assign(value.size(), 0.0f);
+    if (grad.size() == value.size())
+        return;
+    TapePool *pool = t_active_pool;
+    if (pool != nullptr && value_slot >= 0 && pool->id_ == pool_id) {
+        grad_slot = pool->lend(grad, numel());
+        return;
+    }
+    grad.assign(value.size(), 0.0f);
+}
+
+void
+Node::releaseGrad()
+{
+    TapePool *pool = t_active_pool;
+    if (grad_slot >= 0 && pool != nullptr && pool->id_ == pool_id)
+        pool->park(grad_slot, grad);
+    grad_slot = -1;
+    std::vector<float>().swap(grad);
+}
+
+TapePool::TapePool()
+    : id_(g_next_pool_id.fetch_add(1, std::memory_order_relaxed)),
+      outer_(t_active_pool)
+{
+    t_active_pool = this;
+}
+
+TapePool::~TapePool()
+{
+    TLP_CHECK(t_active_pool == this,
+              "TapePool ended out of scope order or on another thread");
+    t_active_pool = outer_;
+}
+
+void
+TapePool::restart()
+{
+    TLP_CHECK(t_active_pool == this,
+              "TapePool::restart on a pool that is not this thread's "
+              "active one");
+    cursor_ = 0;
+}
+
+int64_t
+TapePool::retainedBytes() const
+{
+    int64_t bytes = 0;
+    for (const auto &slot : slots_)
+        bytes += static_cast<int64_t>(slot.capacity() * sizeof(float));
+    return bytes;
+}
+
+int32_t
+TapePool::lend(std::vector<float> &buf, int64_t count)
+{
+    const int32_t slot = cursor_++;
+    if (static_cast<size_t>(slot) == slots_.size())
+        slots_.emplace_back();
+    buf.swap(slots_[static_cast<size_t>(slot)]);
+    buf.assign(static_cast<size_t>(count), 0.0f);   // grows only if short
+    return slot;
+}
+
+void
+TapePool::park(int32_t slot, std::vector<float> &buf)
+{
+    auto &parked = slots_[static_cast<size_t>(slot)];
+    if (parked.capacity() == 0)
+        parked.swap(buf);
+    // else: a newer node already parked here; buf frees with its node
 }
 
 const std::vector<int> &
@@ -101,12 +203,18 @@ Tensor::backward()
 
     node_->ensureGrad();
     node_->grad[0] = 1.0f;
+    // A node without requires_grad has no parent that wants a gradient,
+    // and a parent without it gets no grad buffer: every backward_fn
+    // skips the parents that do not require grad.
     for (auto it = order.rbegin(); it != order.rend(); ++it) {
         Node *node = *it;
-        if (node->backward_fn) {
-            for (auto &parent : node->parents)
-                parent->ensureGrad();
+        if (node->backward_fn && node->requires_grad) {
+            for (auto &parent : node->parents) {
+                if (parent->requires_grad)
+                    parent->ensureGrad();
+            }
             node->backward_fn(*node);
+            node->releaseGrad();
         }
     }
 }

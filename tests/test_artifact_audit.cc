@@ -24,6 +24,7 @@
 #include "support/serialize.h"
 #include "tuner/service/service.h"
 #include "tuner/session.h"
+#include "test_dirs.h"
 
 namespace tlp {
 namespace {
@@ -37,7 +38,7 @@ class ArtifactAudit : public ::testing::Test
     void
     SetUp() override
     {
-        dir_ = "/tmp/tlp_test_artifact_audit";
+        dir_ = test::testPath("audit");
         fs::remove_all(dir_);
         fs::create_directories(dir_);
     }
@@ -131,7 +132,7 @@ std::string
 checkpointBytes()
 {
     static const std::string bytes = [] {
-        const std::string path = "/tmp/tlp_test_audit_seed.ckpt";
+        const std::string path = test::testPath("audit_seed.ckpt");
         fs::remove(path);
         ir::Workload full =
             ir::partitionGraph(ir::buildNetwork("resnet-18"));

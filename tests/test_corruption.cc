@@ -32,6 +32,7 @@
 #include "support/rng.h"
 #include "support/serialize.h"
 #include "tuner/session.h"
+#include "test_dirs.h"
 
 namespace tlp {
 namespace {
@@ -92,7 +93,7 @@ std::string
 goldenCheckpointBytes()
 {
     static const std::string bytes = [] {
-        const std::string path = "/tmp/tlp_test_corruption.ckpt";
+        const std::string path = test::testPath("corruption.ckpt");
         std::remove(path.c_str());
         ir::Workload full =
             ir::partitionGraph(ir::buildNetwork("resnet-18"));
@@ -688,7 +689,7 @@ runSaveDrill(const std::string &name, const std::string &gen1,
     ASSERT_FALSE(gen2.empty());
     ASSERT_NE(gen1, gen2);
 
-    const std::string path = "/tmp/tlp_test_io_drill_" + name + ".bin";
+    const std::string path = test::testPath("io_drill_" + name + ".bin");
     std::remove(path.c_str());
     sweepStaleTempsFor(path);
     ScopedIoFaults scope{IoFaultProfile{}};   // chaos off; counters reset

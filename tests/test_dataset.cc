@@ -11,6 +11,7 @@
 #include "dataset/metrics.h"
 #include "dataset/splits.h"
 #include "support/rng.h"
+#include "test_dirs.h"
 
 namespace tlp::data {
 namespace {
@@ -72,7 +73,7 @@ TEST(Collect, DeterministicGivenSeed)
 TEST(Dataset, SaveLoadRoundTrip)
 {
     const Dataset ds = smallDataset();
-    const std::string path = "/tmp/tlp_test_dataset.bin";
+    const std::string path = test::testPath("dataset.bin");
     ds.save(path);
     const Dataset loaded = Dataset::load(path);
     std::remove(path.c_str());
@@ -147,7 +148,7 @@ TEST(Collect, FailedMeasurementsBecomeNanLabels)
 TEST(Dataset, NanLabelsRoundTripExactly)
 {
     const Dataset ds = faultyDataset();
-    const std::string path = "/tmp/tlp_test_faulty_dataset.bin";
+    const std::string path = test::testPath("faulty_dataset.bin");
     ds.save(path);
     const Dataset loaded = Dataset::load(path);
     std::remove(path.c_str());

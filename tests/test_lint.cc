@@ -421,6 +421,22 @@ void plant(const std::string &path)
     EXPECT_TRUE(lintFile("bench/bench_x.cc", clean, m).empty());
 }
 
+TEST(LintRules, TmpLiteralBannedUnderItsPrefixOnly)
+{
+    Manifest m = testManifest();
+    m.tmp_literal_scopes.push_back("tests/");
+    // Built in two pieces so this file holds no such literal itself.
+    const std::string literal = std::string("\"/tm") + "p/x.bin\"";
+    const std::string text = "std::string p = " + literal + ";\n"
+                             "// prose may say " + literal + "\n"
+                             "std::string q = \"/tmpfs\";\n";
+    const auto findings = lintFile("tests/test_x.cc", text, m);
+    ASSERT_EQ(findings.size(), 1u);
+    EXPECT_EQ(findings[0].rule, "tmp-literal");
+    EXPECT_EQ(findings[0].line, 1);
+    EXPECT_TRUE(lintFile("tools/x.cc", text, m).empty());
+}
+
 // --- hygiene rules ------------------------------------------------------
 
 TEST(LintRules, PragmaOnceRequiredInHeaders)
@@ -794,7 +810,7 @@ TEST(LintFixtures, DirtyTreeFlagsEveryRuleExactlyWhereExpected)
         "hot-alloc",     "raw-io",           "pragma-once",
         "float-eq",      "member-underscore", "unused-suppression",
         "bad-suppression", "unchecked-result", "hot-call-alloc",
-        "suppression-budget",
+        "suppression-budget", "tmp-literal",
     };
     EXPECT_EQ(ruleSet(report.value().findings), expected);
 

@@ -8,11 +8,15 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <optional>
+#include <thread>
 
+#include "nn/kernels.h"
 #include "nn/losses.h"
 #include "nn/modules.h"
 #include "nn/ops.h"
 #include "nn/optim.h"
+#include "support/thread_pool.h"
 
 namespace tlp::nn {
 namespace {
@@ -136,6 +140,50 @@ TEST(Ops, GradBmm)
     checkGradient(a, [&](const Tensor &leaf) {
         return sumAll(tanhT(bmm(leaf, b)));
     });
+}
+
+TEST(Ops, MatmulSkipsTheGradOfAnInputWithoutRequiresGrad)
+{
+    Rng rng(35);
+    Tensor w = Tensor::randn({22, 16}, rng, 0.5);
+    const std::vector<float> xv =
+        Tensor::randn({40, 22}, rng, 1.0, false).value();
+    auto weight_grad = [&](bool x_requires_grad) {
+        for (float &g : w.grad())
+            g = 0.0f;
+        Tensor x = Tensor::fromData({40, 22}, xv, x_requires_grad);
+        sumAll(relu(matmul(x, w))).backward();
+        EXPECT_EQ(x.node()->grad.empty(), !x_requires_grad);
+        return w.grad();
+    };
+    EXPECT_EQ(weight_grad(false), weight_grad(true));
+}
+
+TEST(Ops, BmmSkipsTheGradOfAnInputWithoutRequiresGrad)
+{
+    Rng rng(36);
+    Tensor b = Tensor::randn({3, 8, 25}, rng, 0.5);
+    const std::vector<float> av =
+        Tensor::randn({3, 25, 8}, rng, 1.0, false).value();
+    auto b_grad = [&](bool a_requires_grad) {
+        for (float &g : b.grad())
+            g = 0.0f;
+        Tensor a = Tensor::fromData({3, 25, 8}, av, a_requires_grad);
+        sumAll(tanhT(bmm(a, b))).backward();
+        EXPECT_EQ(a.node()->grad.empty(), !a_requires_grad);
+        return b.grad();
+    };
+    EXPECT_EQ(b_grad(false), b_grad(true));
+}
+
+TEST(Ops, BackwardKeepsGradsOfLeavesOnly)
+{
+    Rng rng(37);
+    Tensor x = Tensor::randn({4, 6}, rng, 1.0);
+    Tensor h = relu(x);
+    sumAll(h).backward();
+    EXPECT_EQ(x.node()->grad.size(), 24u);
+    EXPECT_TRUE(h.node()->grad.empty());
 }
 
 TEST(Ops, GradSoftmaxChain)
@@ -440,6 +488,307 @@ TEST(Training, AttentionLearnsPositionSum)
         last_loss = loss.value()[0];
     }
     EXPECT_LT(last_loss, 0.4);
+}
+
+// --- kernels ------------------------------------------------------------
+
+/** One kernel problem: batch x ([m, k] * [k, n]). */
+struct KernelShape
+{
+    int64_t batch, m, k, n;
+};
+
+/** The model's shapes plus awkward ones. */
+const std::vector<KernelShape> kKernelShapes = {
+    {1, 300, 22, 64},   // up-sample Linear: k = 22 input features
+    {1, 300, 64, 64},   // hidden Linear
+    {1, 300, 64, 1},    // fc2 head: n = 1
+    {16, 25, 8, 25},    // attention Q K^T: n = 25, not a vector multiple
+    {16, 25, 25, 8},    // attention P V
+    {1, 1, 7, 3},       // a single row
+    {3, 5, 300, 17},    // k wider than one accumulator block
+};
+
+std::vector<float>
+randomValues(int64_t count, Rng &rng)
+{
+    std::vector<float> values(static_cast<size_t>(count));
+    for (float &v : values)
+        v = static_cast<float>(rng.uniform(-1.0, 1.0));
+    return values;
+}
+
+/** Float result vs a double-precision sum of @p count terms. */
+void
+expectClose(float got, double ref, double abs_sum, const char *what)
+{
+    EXPECT_NEAR(got, ref, 1e-5 * abs_sum + 1e-6) << what;
+}
+
+/** Every kernel's output for one shape, at the current thread count. */
+std::vector<std::vector<float>>
+runKernels(const KernelShape &s, uint64_t seed)
+{
+    Rng rng(seed);
+    const auto a = randomValues(s.batch * s.m * s.k, rng);
+    const auto b = randomValues(s.batch * s.k * s.n, rng);
+    const auto gc = randomValues(s.batch * s.m * s.n, rng);
+    std::vector<float> c(static_cast<size_t>(s.batch * s.m * s.n));
+    auto ga = randomValues(s.batch * s.m * s.k, rng);   // += targets
+    auto gb = randomValues(s.batch * s.k * s.n, rng);
+    const std::vector<float> ga0 = ga, gb0 = gb;
+    if (s.batch == 1) {
+        kern::gemm(a.data(), b.data(), c.data(), s.m, s.k, s.n);
+        kern::gemmNT(gc.data(), b.data(), ga.data(), s.m, s.k, s.n);
+        kern::gemmTN(a.data(), gc.data(), gb.data(), s.m, s.k, s.n);
+    } else {
+        kern::bmm(a.data(), b.data(), c.data(), s.batch, s.m, s.k, s.n);
+        kern::bmmNT(gc.data(), b.data(), ga.data(), s.batch, s.m, s.k,
+                    s.n);
+        kern::bmmTN(a.data(), gc.data(), gb.data(), s.batch, s.m, s.k,
+                    s.n);
+    }
+
+    for (int64_t t = 0; t < s.batch; ++t) {
+        const float *at = a.data() + t * s.m * s.k;
+        const float *bt = b.data() + t * s.k * s.n;
+        const float *gct = gc.data() + t * s.m * s.n;
+        for (int64_t i = 0; i < s.m; ++i) {
+            for (int64_t j = 0; j < s.n; ++j) {
+                double ref = 0.0, abs_sum = 0.0;
+                for (int64_t p = 0; p < s.k; ++p) {
+                    const double term = static_cast<double>(
+                                            at[i * s.k + p]) *
+                                        bt[p * s.n + j];
+                    ref += term;
+                    abs_sum += std::abs(term);
+                }
+                expectClose(c[static_cast<size_t>((t * s.m + i) * s.n + j)],
+                            ref, abs_sum, "gemm");
+            }
+            for (int64_t p = 0; p < s.k; ++p) {
+                const size_t idx =
+                    static_cast<size_t>((t * s.m + i) * s.k + p);
+                double ref = ga0[idx], abs_sum = std::abs(ga0[idx]);
+                for (int64_t j = 0; j < s.n; ++j) {
+                    const double term = static_cast<double>(
+                                            gct[i * s.n + j]) *
+                                        bt[p * s.n + j];
+                    ref += term;
+                    abs_sum += std::abs(term);
+                }
+                expectClose(ga[idx], ref, abs_sum, "gemmNT");
+            }
+        }
+        for (int64_t p = 0; p < s.k; ++p) {
+            for (int64_t j = 0; j < s.n; ++j) {
+                const size_t idx =
+                    static_cast<size_t>((t * s.k + p) * s.n + j);
+                double ref = gb0[idx], abs_sum = std::abs(gb0[idx]);
+                for (int64_t i = 0; i < s.m; ++i) {
+                    const double term = static_cast<double>(
+                                            at[i * s.k + p]) *
+                                        gct[i * s.n + j];
+                    ref += term;
+                    abs_sum += std::abs(term);
+                }
+                expectClose(gb[idx], ref, abs_sum, "gemmTN");
+            }
+        }
+    }
+    return {c, ga, gb};
+}
+
+TEST(Kernels, MatchDoublePrecisionReference)
+{
+    for (const KernelShape &s : kKernelShapes) {
+        SCOPED_TRACE(::testing::Message()
+                     << "batch " << s.batch << " m " << s.m << " k " << s.k
+                     << " n " << s.n);
+        runKernels(s, 40);
+    }
+}
+
+TEST(Kernels, BitIdenticalAtOneAndFourThreads)
+{
+    struct Restore
+    {
+        ~Restore()
+        {
+            ThreadPool::setGlobalThreads(ThreadPool::configuredThreads());
+        }
+    } restore;
+    for (const KernelShape &s : kKernelShapes) {
+        SCOPED_TRACE(::testing::Message()
+                     << "batch " << s.batch << " m " << s.m << " k " << s.k
+                     << " n " << s.n);
+        ThreadPool::setGlobalThreads(1);
+        const auto serial = runKernels(s, 41);
+        ThreadPool::setGlobalThreads(4);
+        EXPECT_EQ(runKernels(s, 41), serial);
+    }
+}
+
+// --- TapePool -----------------------------------------------------------
+
+/** Rows of the two batches makeBatches alternates on the mini set. */
+constexpr int kBigBatch = 252;
+constexpr int kSmallBatch = 76;
+
+/** A small attention scorer with Adam, trained one batch per step(). */
+struct TinyTrainer
+{
+    explicit TinyTrainer(uint64_t seed)
+        : rng(seed), data_rng(seed + 1), up(4, 16, rng), attn(16, 4, rng),
+          head(16, 1, rng), adam(parameters(), {.lr = 0.01})
+    {}
+
+    std::vector<Tensor>
+    parameters()
+    {
+        std::vector<Tensor> params;
+        for (Module *m :
+             std::initializer_list<Module *>{&up, &attn, &head})
+            for (Tensor &p : m->parameters())
+                params.push_back(p);
+        return params;
+    }
+
+    /** One optimizer step on @p rows fresh rows; returns the loss. */
+    float
+    step(int rows)
+    {
+        Tensor x = Tensor::randn({rows, 5, 4}, data_rng, 1.0, false);
+        std::vector<float> labels(static_cast<size_t>(rows));
+        for (int i = 0; i < rows; ++i)
+            labels[static_cast<size_t>(i)] =
+                x.value()[static_cast<size_t>(i * 20)];
+        adam.zeroGrad();
+        Tensor scores = head.forward(attn.forward(up.forward(x)));
+        Tensor loss =
+            mseLoss(sumAxis1(reshape(scores, {rows, 5})), labels);
+        loss.backward();
+        adam.step();
+        return loss.value()[0];
+    }
+
+    Rng rng, data_rng;
+    Linear up;
+    MultiHeadSelfAttention attn;
+    Linear head;
+    Adam adam;
+};
+
+TEST(TapePool, PooledTrainingIsBitIdenticalToUnpooled)
+{
+    auto train = [](bool pooled) {
+        TinyTrainer trainer(31);
+        std::optional<TapePool> pool;
+        if (pooled)
+            pool.emplace();
+        std::vector<std::vector<float>> out(1);
+        for (int step = 0; step < 6; ++step) {
+            if (pool)
+                pool->restart();
+            out[0].push_back(
+                trainer.step(step % 2 == 0 ? kBigBatch : kSmallBatch));
+        }
+        for (Tensor &param : trainer.parameters()) {
+            out.push_back(param.value());
+            out.push_back(param.grad());
+        }
+        return out;
+    };
+    EXPECT_EQ(train(true), train(false));
+}
+
+TEST(TapePool, AlternatingBatchesRetainNoMoreThanTheFirstStep)
+{
+    TinyTrainer trainer(32);
+    TapePool pool;
+    pool.restart();
+    trainer.step(kBigBatch);
+    const int64_t first_bytes = pool.retainedBytes();
+    const int64_t first_positions = pool.positions();
+    EXPECT_GT(first_bytes, 0);
+    for (int step = 1; step < 6; ++step) {
+        pool.restart();
+        trainer.step(step % 2 == 0 ? kBigBatch : kSmallBatch);
+        EXPECT_LE(pool.retainedBytes(), first_bytes) << "step " << step;
+        EXPECT_EQ(pool.positions(), first_positions) << "step " << step;
+    }
+}
+
+TEST(TapePool, TensorKeptPastItsStepStaysValid)
+{
+    Rng rng(33);
+    Tensor w = Tensor::randn({8, 8}, rng, 1.0);
+    Tensor kept;
+    std::vector<float> expected;
+    {
+        TapePool pool;
+        for (int step = 0; step < 3; ++step) {
+            pool.restart();
+            Tensor x = Tensor::randn({16, 8}, rng, 1.0, false);
+            Tensor h = relu(matmul(x, w));
+            sumAll(h).backward();
+            if (step == 0) {
+                kept = h;
+                expected = h.value();
+            }
+            // Later steps never write into the kept node's buffer.
+            EXPECT_EQ(kept.value(), expected) << "step " << step;
+        }
+    }
+    EXPECT_EQ(kept.value(), expected);   // and it outlives the pool
+}
+
+TEST(TapePool, NodeFreedOnAnotherThreadOrAfterThePoolIsJustFreed)
+{
+    Rng rng(34);
+    const Tensor x = Tensor::randn({64, 64}, rng, 1.0, false);
+    const std::vector<float> expected = relu(x).value();
+    const int64_t bytes = 64 * 64 * sizeof(float);
+    Tensor outlives_pool;
+    {
+        TapePool pool;
+        pool.restart();
+        Tensor y = relu(x);
+        EXPECT_EQ(pool.positions(), 1);
+        std::thread([t = std::move(y)]() mutable { t = Tensor(); }).join();
+        EXPECT_EQ(pool.retainedBytes(), 0);   // not parked from there
+
+        pool.restart();
+        Tensor z = relu(x);
+        z = Tensor();   // freed on the pool's thread: parked
+        EXPECT_GE(pool.retainedBytes(), bytes);
+
+        pool.restart();
+        outlives_pool = relu(x);   // takes the parked buffer back
+        EXPECT_EQ(pool.retainedBytes(), 0);
+        EXPECT_EQ(pool.positions(), 1);
+    }
+    EXPECT_EQ(outlives_pool.value(), expected);
+    outlives_pool = Tensor();   // after the pool: plain heap memory
+}
+
+TEST(TapePool, NestedPoolsEachServeTheirOwnScope)
+{
+    Rng rng(38);
+    const Tensor x = Tensor::randn({8, 8}, rng, 1.0, false);
+    TapePool outer;
+    outer.restart();
+    Tensor a = relu(x);
+    {
+        TapePool inner;
+        inner.restart();
+        Tensor b = relu(x);
+        EXPECT_EQ(inner.positions(), 1);
+        a = Tensor();   // lent by the outer pool: not parked in inner
+        EXPECT_EQ(inner.retainedBytes(), 0);
+    }
+    EXPECT_EQ(outer.positions(), 1);
+    EXPECT_EQ(outer.retainedBytes(), 0);
 }
 
 TEST(Optim, WeightDecayShrinksWeights)

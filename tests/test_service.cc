@@ -18,17 +18,18 @@
 #include "support/rng.h"
 #include "support/thread_pool.h"
 #include "tuner/service/service.h"
+#include "test_dirs.h"
 
 namespace tlp::serve {
 namespace {
 
 namespace fs = std::filesystem;
 
-/** Fresh scratch directory under /tmp for one test. */
+/** Fresh scratch directory @p name inside this test's own directory. */
 std::string
 scratchDir(const std::string &name)
 {
-    const std::string dir = "/tmp/tlp_test_service_" + name;
+    const std::string dir = test::testPath(name);
     fs::remove_all(dir);
     return dir;
 }

@@ -19,6 +19,7 @@
 #include "models/guarded_model.h"
 #include "models/pretrain.h"
 #include "models/supervisor.h"
+#include "nn/ops.h"
 #include "sketch/policy.h"
 #include "tuner/session.h"
 
@@ -346,6 +347,41 @@ TEST(Supervisor, InjectedFaultsRecoverDeterministically)
     EXPECT_GT(a.second[HealthEvent::Rollback], 0);
     for (float v : a.first)
         EXPECT_TRUE(std::isfinite(v));
+}
+
+TEST(Supervisor, RetriedAttemptReusesTapePoolPositions)
+{
+    // A real graph per attempt under the TapePool a training run opens:
+    // a rolled-back retry starts over at position 0 and takes back the
+    // buffers its failed attempt handed in, instead of growing the pool.
+    SupervisorOptions options = enabledOptions();
+    options.max_retries = 1;
+    Rig rig(options);
+    const nn::Tensor x = nn::Tensor::randn({32, 6}, rig.rng, 1.0, false);
+    nn::TapePool tape;
+    int attempts = 0;
+    auto attempt = [&](bool poison_first) {
+        return [&, poison_first] {
+            tape.restart();
+            rig.adam.zeroGrad();
+            nn::Tensor loss =
+                nn::add(nn::sumAll(nn::relu(nn::scale(x, 2.0f))),
+                        nn::sumAll(nn::mul(rig.w, rig.w)));
+            loss.backward();
+            const bool poison = poison_first && attempts++ == 0;
+            return poison ? kNan : static_cast<double>(loss.value()[0]);
+        };
+    };
+    ASSERT_EQ(rig.supervisor.step(attempt(false)), StepOutcome::Ok);
+    const int64_t positions = tape.positions();
+    const int64_t bytes = tape.retainedBytes();
+    EXPECT_GT(positions, 0);
+
+    ASSERT_EQ(rig.supervisor.step(attempt(true)), StepOutcome::Ok);
+    EXPECT_EQ(attempts, 2);   // one rolled-back attempt, one retry
+    EXPECT_EQ(rig.supervisor.health()[HealthEvent::Rollback], 1);
+    EXPECT_EQ(tape.positions(), positions);
+    EXPECT_EQ(tape.retainedBytes(), bytes);
 }
 
 // --- TLPT training checkpoints -------------------------------------------

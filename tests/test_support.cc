@@ -19,6 +19,7 @@
 #include "support/stats.h"
 #include "support/str_util.h"
 #include "support/table.h"
+#include "test_dirs.h"
 
 namespace tlp {
 namespace {
@@ -263,7 +264,7 @@ TEST(Serialize, HugeLengthPrefixRejectedBeforeAllocation)
 
 TEST(Serialize, AtomicWriteFileCommitsAndCleansUp)
 {
-    const std::string path = "/tmp/tlp_test_atomic_write.bin";
+    const std::string path = test::testPath("atomic_write.bin");
     std::remove(path.c_str());
     std::remove((path + ".tmp").c_str());
 
@@ -344,10 +345,10 @@ TEST(IoEnv, ArmNextWriteIsOneShot)
     torn.torn_at = 7;
     env.armNextWrite(torn);
 
-    const IoFaultDecision first = env.drawWrite("/tmp/x.bin");
+    const IoFaultDecision first = env.drawWrite("x.bin");
     EXPECT_EQ(first.kind, IoFaultKind::TornWrite);
     EXPECT_EQ(first.torn_at, 7);
-    EXPECT_EQ(env.drawWrite("/tmp/x.bin").kind, IoFaultKind::None);
+    EXPECT_EQ(env.drawWrite("x.bin").kind, IoFaultKind::None);
     EXPECT_EQ(env.counters().writes_attempted, 2);
     EXPECT_EQ(env.counters().torn_faults, 1);
 }
@@ -372,7 +373,7 @@ TEST(IoEnv, AtomicWriteFaultsKeepThePreviousFileAndControlDebris)
 {
     ScopedIoFaults scope{IoFaultProfile{}};
     IoEnv &env = IoEnv::global();
-    const std::string path = "/tmp/tlp_test_io_env_write.bin";
+    const std::string path = test::testPath("io_env_write.bin");
     std::remove(path.c_str());
     sweepStaleTempsFor(path);
 
@@ -406,7 +407,7 @@ TEST(IoEnv, AtomicWriteFaultsKeepThePreviousFileAndControlDebris)
 
 TEST(IoEnv, CheckReadInjectsAReplayableSchedule)
 {
-    const char *path = "/tmp/never_opened.bin";
+    const char *path = "never_opened.bin";   // a fault-draw key only
     std::vector<bool> first;
     for (int pass = 0; pass < 2; ++pass) {
         IoFaultProfile chaos;
@@ -430,7 +431,7 @@ TEST(IoEnv, CheckReadInjectsAReplayableSchedule)
 
 TEST(IoEnv, QuarantineArtifactNeverOverwritesEvidence)
 {
-    const std::string path = "/tmp/tlp_test_io_env_quarantine.bin";
+    const std::string path = test::testPath("io_env_quarantine.bin");
     const auto plant = [&](const std::string &body) {
         std::ofstream os(path, std::ios::binary);
         os << body;
@@ -465,7 +466,7 @@ TEST(IoEnv, QuarantineArtifactNeverOverwritesEvidence)
 TEST(IoEnv, SweepMatchesOnlyStaleTempNames)
 {
     namespace fs = std::filesystem;
-    const std::string dir = "/tmp/tlp_test_io_env_sweep";
+    const std::string dir = test::testPath("io_env_sweep");
     fs::remove_all(dir);
     fs::create_directories(dir);
     const auto plant = [&](const std::string &name) {

@@ -92,7 +92,7 @@ parseManifest(const std::string &text)
             directive == "serialize-consumer" || directive == "hot-tu" ||
             directive == "forbid-raw-io" ||
             directive == "raw-io-exempt" || directive == "must-check" ||
-            directive == "hot-entry") {
+            directive == "hot-entry" || directive == "forbid-tmp-literal") {
             if (tokens.size() != 2) {
                 return manifestError(lineno, directive +
                                                  " expects exactly one "
@@ -115,6 +115,8 @@ parseManifest(const std::string &text)
                 manifest.must_check.push_back(path);
             else if (directive == "hot-entry")
                 manifest.hot_entries.insert(path);
+            else if (directive == "forbid-tmp-literal")
+                manifest.tmp_literal_scopes.push_back(path);
             else
                 manifest.serialize_consumers.insert(path);
             continue;
@@ -641,6 +643,20 @@ collectFileFindings(const std::string &rel_path, const StrippedSource &src,
             }
         }
     }
+    if (matchesAnyPrefix(rel_path, manifest.tmp_literal_scopes)) {
+        // A fixed temp path is shared by every process that runs the
+        // same test, so parallel runs clobber each other's files; each
+        // test takes its own directory from tests/test_dirs.h instead.
+        static const std::regex tmp_literal(R"re("/tmp(/|"))re");
+        for (size_t li = 0; li < src.directives.size(); ++li) {
+            if (std::regex_search(src.directives[li], tmp_literal)) {
+                add(static_cast<int>(li) + 1, "tmp-literal",
+                    "literal \"/tmp/\" path: parallel test processes "
+                    "share it; use test::testDir()/testPath() "
+                    "(tests/test_dirs.h)");
+            }
+        }
+    }
     if (manifest.hot_tus.count(rel_path)) {
         // The steady-state scoring path (DESIGN.md §13) must not touch
         // the heap: scratch comes from an Arena, persistent storage is
@@ -750,7 +766,7 @@ allRuleIds()
         "hot-alloc",      "raw-io",            "unchecked-result",
         "hot-call-alloc", "suppression-budget", "pragma-once",
         "float-eq",       "member-underscore", "bad-suppression",
-        "unused-suppression",
+        "unused-suppression", "tmp-literal",
     };
 }
 
