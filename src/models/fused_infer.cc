@@ -1,6 +1,8 @@
 #include "models/fused_infer.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 
 #include "nn/infer_ops.h"
@@ -77,6 +79,11 @@ FusedTlpInference::FusedTlpInference(std::shared_ptr<TlpNet> net)
         heads_.push_back(head);
     }
     TLP_CHECK(cursor == packed_.size(), "packed-parameter underrun");
+    // Row-dedup table: a power of two at least twice a block's rows,
+    // so open-addressed probes stay short.
+    while (dedup_slots_ < static_cast<size_t>(2 * kRowsPerBlock *
+                                              config_.seq_len))
+        dedup_slots_ *= 2;
     repack();
 }
 
@@ -138,6 +145,23 @@ FusedTlpInference::predict(const float *features, int64_t rows, int task,
         });
 }
 
+namespace {
+
+/** Hash of one feature row's bytes (rows are keyed by bytes, not ==). */
+uint64_t
+hashRow(const float *row, int64_t width)
+{
+    uint64_t h = 0x9e3779b97f4a7c15ull;
+    for (int64_t c = 0; c < width; ++c) {
+        uint32_t word;
+        std::memcpy(&word, row + c, sizeof(word));
+        h = (h ^ word) * 0xff51afd7ed558ccdull;
+    }
+    return h ^ (h >> 29);
+}
+
+} // namespace
+
 void
 FusedTlpInference::forwardBlock(Arena &arena, const float *x, int64_t n,
                                 int task, double *out)
@@ -148,118 +172,173 @@ FusedTlpInference::forwardBlock(Arena &arena, const float *x, int64_t n,
     const int64_t heads = config_.heads;
     const int64_t hd = H / heads;
     const int64_t rows = n * S;   // the flattened [n*S, .] row count
+    // Every buffer is sized for a full block, whatever this block's
+    // dedup ratio, so the arena high-water mark is the same each block.
+    const auto max_rows = static_cast<size_t>(kRowsPerBlock * S);
 
-    // Up-sampling: relu(up2(relu(up1(x)))). The interpreted Linear
-    // flattens [n, S, E] to [n*S, E] before its matmul; x is already
-    // that contiguous layout.
-    float *h1 = arena.allocFloats(static_cast<size_t>(rows * H));
-    nk::gemmRows(x, up1_.w, h1, 0, rows, E, H);
-    io::addBiasReluRows(h1, up1_.b, h1, 0, rows, H);
-    float *h2 = arena.allocFloats(static_cast<size_t>(rows * H));
-    nk::gemmRows(h1, up2_.w, h2, 0, rows, H, H);
-    io::addBiasReluRows(h2, up2_.b, h2, 0, rows, H);
-
-    // Self-attention block. Projections first...
-    float *qf = arena.allocFloats(static_cast<size_t>(rows * H));
-    float *kf = arena.allocFloats(static_cast<size_t>(rows * H));
-    float *vf = arena.allocFloats(static_cast<size_t>(rows * H));
-    nk::gemmRows(h2, q_.w, qf, 0, rows, H, H);
-    io::addBiasRows(qf, q_.b, qf, 0, rows, H);
-    nk::gemmRows(h2, k_.w, kf, 0, rows, H, H);
-    io::addBiasRows(kf, k_.b, kf, 0, rows, H);
-    nk::gemmRows(h2, v_.w, vf, 0, rows, H, H);
-    io::addBiasRows(vf, v_.b, vf, 0, rows, H);
-
-    // ...then the head split [n, S, H] -> [n*heads, S, hd] (the
-    // interpreted reshape/permute0213/reshape chain, as one copy)...
-    const int64_t batches = n * heads;
-    float *q_s = arena.allocFloats(static_cast<size_t>(rows * H));
-    float *k_s = arena.allocFloats(static_cast<size_t>(rows * H));
-    float *v_s = arena.allocFloats(static_cast<size_t>(rows * H));
-    auto split = [&](const float *src, float *dst) {
-        for (int64_t in = 0; in < n; ++in)
-            for (int64_t ih = 0; ih < heads; ++ih)
-                for (int64_t l = 0; l < S; ++l) {
-                    const float *from = src + (in * S + l) * H + ih * hd;
-                    float *to =
-                        dst + ((in * heads + ih) * S + l) * hd;
-                    std::memcpy(to, from,
-                                static_cast<size_t>(hd) *
-                                    sizeof(float));
-                }
-    };
-    split(qf, q_s);
-    split(kf, k_s);
-    split(vf, v_s);
-
-    // ...K^T per batch (interpreted transposeLast2 materializes it too,
-    // so the gemm reads the identical operand layout)...
-    float *k_t = arena.allocFloats(static_cast<size_t>(rows * H));
-    for (int64_t s = 0; s < batches; ++s) {
-        const float *src = k_s + s * S * hd;
-        float *dst = k_t + s * S * hd;
-        for (int64_t l = 0; l < S; ++l)
-            for (int64_t d = 0; d < hd; ++d)
-                dst[d * S + l] = src[l * hd + d];
+    // Distinct input rows across the block, keyed by their bytes (so
+    // +0.0/-0.0 and NaN rows stay apart): row_of[r] names row r's
+    // distinct row, first[d] the first row with those bytes.
+    int32_t *row_of = arena.alloc<int32_t>(max_rows);
+    int32_t *first = arena.alloc<int32_t>(max_rows);
+    int32_t *slots = arena.alloc<int32_t>(dedup_slots_);
+    std::fill(slots, slots + dedup_slots_, -1);
+    const size_t row_bytes = static_cast<size_t>(E) * sizeof(float);
+    const size_t slot_mask = dedup_slots_ - 1;
+    int32_t distinct = 0;
+    for (int64_t r = 0; r < rows; ++r) {
+        const float *row = x + r * E;
+        for (size_t slot = hashRow(row, E) & slot_mask;;
+             slot = (slot + 1) & slot_mask) {
+            const int32_t d = slots[slot];
+            if (d < 0) {
+                slots[slot] = distinct;
+                first[distinct] = static_cast<int32_t>(r);
+                row_of[r] = distinct++;
+                break;
+            }
+            if (std::memcmp(x + first[d] * E, row, row_bytes) == 0) {
+                row_of[r] = d;
+                break;
+            }
+        }
     }
 
-    // ...scores = softmax(q k^T / sqrt(hd)), context = probs v.
-    float *scores =
-        arena.allocFloats(static_cast<size_t>(batches * S * S));
-    for (int64_t s = 0; s < batches; ++s)
-        nk::gemmRows(q_s + s * S * hd, k_t + s * S * hd,
-                     scores + s * S * S, 0, S, hd, S);
-    io::scaleInPlace(scores, batches * S * S,
-                     1.0f / std::sqrt(static_cast<float>(hd)));
-    io::softmaxRows(scores, scores, 0, batches * S, S);
-    float *ctx = arena.allocFloats(static_cast<size_t>(rows * H));
-    for (int64_t s = 0; s < batches; ++s)
-        nk::gemmRows(scores + s * S * S, v_s + s * S * hd,
-                     ctx + s * S * hd, 0, S, S, hd);
-
-    // Merge heads back to [n*S, H] (inverse of split), project, then
-    // residual + layer norm against the attention input h2.
-    float *merged = arena.allocFloats(static_cast<size_t>(rows * H));
-    for (int64_t in = 0; in < n; ++in)
-        for (int64_t ih = 0; ih < heads; ++ih)
-            for (int64_t l = 0; l < S; ++l) {
-                const float *from =
-                    ctx + ((in * heads + ih) * S + l) * hd;
-                float *to = merged + (in * S + l) * H + ih * hd;
-                std::memcpy(to, from,
-                            static_cast<size_t>(hd) * sizeof(float));
+    // Each candidate's distinct rows ("pairs"): attention mixes rows
+    // only within a candidate, so equal input rows of one candidate stay
+    // equal to the head. Pairs of candidate c are [pair_begin[c],
+    // pair_begin[c + 1]); pair_row[t] is pair t's distinct row and
+    // pos_pair[c*S + l] the pair of position l, counted from
+    // pair_begin[c].
+    int32_t *pair_row = arena.alloc<int32_t>(max_rows);
+    int32_t *pos_pair = arena.alloc<int32_t>(max_rows);
+    int32_t *pair_begin =
+        arena.alloc<int32_t>(static_cast<size_t>(kRowsPerBlock + 1));
+    int32_t *seen_by = arena.alloc<int32_t>(max_rows);
+    int32_t *seen_pair = arena.alloc<int32_t>(max_rows);
+    std::fill(seen_by, seen_by + distinct, -1);
+    int32_t pairs = 0;
+    for (int32_t c = 0; c < n; ++c) {
+        pair_begin[c] = pairs;
+        for (int64_t l = 0; l < S; ++l) {
+            const int32_t d = row_of[c * S + l];
+            if (seen_by[d] != c) {
+                seen_by[d] = c;
+                seen_pair[d] = pairs - pair_begin[c];
+                pair_row[pairs++] = d;
             }
-    float *attn = arena.allocFloats(static_cast<size_t>(rows * H));
-    nk::gemmRows(merged, attn_out_.w, attn, 0, rows, H, H);
-    io::addBiasRows(attn, attn_out_.b, attn, 0, rows, H);
-    io::addInto(attn, h2, attn, rows * H);
-    float *bb = arena.allocFloats(static_cast<size_t>(rows * H));
+            pos_pair[c * S + l] = seen_pair[d];
+        }
+    }
+    pair_begin[n] = pairs;
+
+    // Up-sampling and the Q/K/V projections are row-wise: run them once
+    // per distinct row.
+    float *xd = arena.allocFloats(max_rows * static_cast<size_t>(E));
+    for (int32_t d = 0; d < distinct; ++d)
+        std::memcpy(xd + d * E, x + first[d] * E, row_bytes);
+    const auto act = max_rows * static_cast<size_t>(H);
+    float *h1 = arena.allocFloats(act);
+    nk::gemmRows(xd, up1_.w, h1, 0, distinct, E, H);
+    io::addBiasReluRows(h1, up1_.b, h1, 0, distinct, H);
+    float *h2 = arena.allocFloats(act);
+    nk::gemmRows(h1, up2_.w, h2, 0, distinct, H, H);
+    io::addBiasReluRows(h2, up2_.b, h2, 0, distinct, H);
+    float *qf = arena.allocFloats(act);
+    float *kf = arena.allocFloats(act);
+    float *vf = arena.allocFloats(act);
+    nk::gemmRows(h2, q_.w, qf, 0, distinct, H, H);
+    io::addBiasRows(qf, q_.b, qf, 0, distinct, H);
+    nk::gemmRows(h2, k_.w, kf, 0, distinct, H, H);
+    io::addBiasRows(kf, k_.b, kf, 0, distinct, H);
+    nk::gemmRows(h2, v_.w, vf, 0, distinct, H, H);
+    io::addBiasRows(vf, v_.b, vf, 0, distinct, H);
+
+    // Self-attention per candidate and head over the candidate's u
+    // distinct rows, key-major: scores[j, i] = k_j . q_i / sqrt(hd) for
+    // the u x u distinct key/query pairs, softmax over all S key
+    // positions in order, then ctx[e, i] = sum over all S positions, in
+    // order, of v[l, e] * probs[l, i]. A product's operand order never
+    // changes its bits, so each element repeats the interpreted
+    // forward's chain exactly.
+    const auto seq = static_cast<size_t>(S);
+    const auto head_dim = static_cast<size_t>(hd);
+    float *k_d = arena.allocFloats(seq * head_dim);
+    float *q_t = arena.allocFloats(seq * head_dim);
+    float *v_t = arena.allocFloats(seq * head_dim);
+    float *scores = arena.allocFloats(seq * seq);
+    float *probs = arena.allocFloats(seq * seq);
+    float *stats = arena.allocFloats(2 * seq);
+    float *ctx = arena.allocFloats(seq * head_dim);
+    float *merged = arena.allocFloats(act);
+    const float scale = 1.0f / std::sqrt(static_cast<float>(hd));
+    const size_t head_bytes = head_dim * sizeof(float);
+    for (int64_t c = 0; c < n; ++c) {
+        const int64_t p0 = pair_begin[c];
+        const int64_t u = pair_begin[c + 1] - p0;
+        const int32_t *pos = pos_pair + c * S;
+        for (int64_t ih = 0; ih < heads; ++ih) {
+            const int64_t col = ih * hd;
+            for (int64_t j = 0; j < u; ++j) {
+                const int64_t d = pair_row[p0 + j];
+                std::memcpy(k_d + j * hd, kf + d * H + col, head_bytes);
+                for (int64_t e = 0; e < hd; ++e)
+                    q_t[e * u + j] = qf[d * H + col + e];
+            }
+            for (int64_t l = 0; l < S; ++l) {
+                const float *v = vf + row_of[c * S + l] * H + col;
+                for (int64_t e = 0; e < hd; ++e)
+                    v_t[e * S + l] = v[e];
+            }
+            nk::gemmRows(k_d, q_t, scores, 0, u, hd, u);
+            io::scaleInPlace(scores, u * u, scale);
+            io::softmaxKeyMajor(scores, pos, probs, stats, u, S);
+            nk::gemmRows(v_t, probs, ctx, 0, hd, S, u);
+            for (int64_t j = 0; j < u; ++j)
+                for (int64_t e = 0; e < hd; ++e)
+                    merged[(p0 + j) * H + col + e] = ctx[e * u + j];
+        }
+    }
+
+    // Output projection, residual + layer norm against the attention
+    // input h2, residual blocks and the head: row-wise, once per pair.
+    float *attn = arena.allocFloats(act);
+    nk::gemmRows(merged, attn_out_.w, attn, 0, pairs, H, H);
+    io::addBiasRows(attn, attn_out_.b, attn, 0, pairs, H);
+    for (int64_t t = 0; t < pairs; ++t)
+        io::addInto(attn + t * H, h2 + pair_row[t] * H, attn + t * H, H);
+    float *bb = arena.allocFloats(act);
     io::layerNormRows(attn, attn_norm_.gamma, attn_norm_.beta, bb,
-                      nullptr, 0, rows, H, 1e-5f);
+                      nullptr, 0, pairs, H, 1e-5f);
 
     // Residual blocks: norm(x + fc2(relu(fc1(x)))).
-    float *r1 = arena.allocFloats(static_cast<size_t>(rows * H));
-    float *r2 = arena.allocFloats(static_cast<size_t>(rows * H));
+    float *r1 = arena.allocFloats(act);
+    float *r2 = arena.allocFloats(act);
     for (const Residual &res : residuals_) {
-        nk::gemmRows(bb, res.fc1.w, r1, 0, rows, H, H);
-        io::addBiasReluRows(r1, res.fc1.b, r1, 0, rows, H);
-        nk::gemmRows(r1, res.fc2.w, r2, 0, rows, H, H);
-        io::addBiasRows(r2, res.fc2.b, r2, 0, rows, H);
-        io::addInto(r2, bb, r2, rows * H);
+        nk::gemmRows(bb, res.fc1.w, r1, 0, pairs, H, H);
+        io::addBiasReluRows(r1, res.fc1.b, r1, 0, pairs, H);
+        nk::gemmRows(r1, res.fc2.w, r2, 0, pairs, H, H);
+        io::addBiasRows(r2, res.fc2.b, r2, 0, pairs, H);
+        io::addInto(r2, bb, r2, pairs * H);
         io::layerNormRows(r2, res.norm.gamma, res.norm.beta, bb, nullptr,
-                          0, rows, H, 1e-5f);
+                          0, pairs, H, 1e-5f);
     }
 
-    // Task head: sum over sequence positions of fc2(relu(fc1(h))).
+    // Task head: fc2(relu(fc1(h))) per pair, then the sum over all S
+    // sequence positions in order.
     const Head &head = heads_[static_cast<size_t>(task)];
     const int64_t hh = config_.head_hidden;
-    float *hh1 = arena.allocFloats(static_cast<size_t>(rows * hh));
-    nk::gemmRows(bb, head.fc1.w, hh1, 0, rows, H, hh);
-    io::addBiasReluRows(hh1, head.fc1.b, hh1, 0, rows, hh);
-    float *hs = arena.allocFloats(static_cast<size_t>(rows));
-    nk::gemmRows(hh1, head.fc2.w, hs, 0, rows, hh, 1);
-    io::addBiasRows(hs, head.fc2.b, hs, 0, rows, 1);
-    float *sums = arena.allocFloats(static_cast<size_t>(n));
+    float *hh1 = arena.allocFloats(max_rows * static_cast<size_t>(hh));
+    nk::gemmRows(bb, head.fc1.w, hh1, 0, pairs, H, hh);
+    io::addBiasReluRows(hh1, head.fc1.b, hh1, 0, pairs, hh);
+    float *hs_pair = arena.allocFloats(max_rows);
+    nk::gemmRows(hh1, head.fc2.w, hs_pair, 0, pairs, hh, 1);
+    io::addBiasRows(hs_pair, head.fc2.b, hs_pair, 0, pairs, 1);
+    float *hs = arena.allocFloats(max_rows);
+    for (int64_t c = 0; c < n; ++c)
+        for (int64_t l = 0; l < S; ++l)
+            hs[c * S + l] = hs_pair[pair_begin[c] + pos_pair[c * S + l]];
+    float *sums = arena.allocFloats(static_cast<size_t>(kRowsPerBlock));
     io::sumRows(hs, sums, 0, n, S);
     // predictTlpNet widens the float predictions to double on readout.
     for (int64_t r = 0; r < n; ++r)

@@ -10,14 +10,27 @@
  * over arena-allocated scratch in fixed candidate blocks, with fused
  * linear+bias(+relu) epilogues and no graph bookkeeping.
  *
+ * Distinct rows: feature rows repeat heavily during search (evolution
+ * mutates a few primitives; padding rows are all zero), so each block
+ * computes every distinct row once. Rows equal byte for byte across the
+ * block share one up-sample/Q/K/V row. Within a candidate, equal input
+ * rows stay equal through attention, so QK^T and exp run on the
+ * candidate's distinct query/key pairs, and the out-projection,
+ * residual blocks and head run on its distinct rows; only the
+ * reductions across positions (softmax max and denominator, PV, the
+ * head sum) visit all seq_len positions, in position order.
+ *
  * Equivalence contract: predictions are bit-identical to
  * TlpNet::forwardTask. Every contractible loop (gemm, layer norm) runs
  * through the same noinline kernels the interpreted ops call
- * (kern::gemmRows, iops::softmaxRows/layerNormRows); the remaining maps
- * are contraction-free restatements; and rows are independent through
- * the whole network, so any block size — and any thread partitioning of
- * blocks — yields the interpreted full-batch bits. tests/test_infer.cc
- * pins the equality, CI's Release job re-asserts it.
+ * (kern::gemmRows, iops::layerNormRows); the softmax
+ * (iops::softmaxKeyMajor) and the remaining maps are contraction-free
+ * restatements. Rows are independent through every row-wise op, a
+ * gemmRows element depends only on its A row, B column and k, and the
+ * position reductions keep the interpreted order, so deduplication, any
+ * block size and any thread partitioning of blocks all yield the
+ * interpreted full-batch bits. tests/test_infer.cc pins the equality,
+ * CI's Release job re-asserts it.
  *
  * Parallelism: blocks fan out over the global ThreadPool (this is a
  * top-level call site — the serial micro-kernels never nest a pool),
@@ -107,6 +120,9 @@ class FusedTlpInference
         Affine fc1, fc2;
     };
     std::vector<Head> heads_;
+    /** Slots of forwardBlock's open-addressed row-dedup table (a power
+     *  of two at least twice kRowsPerBlock * seq_len). */
+    size_t dedup_slots_ = 1;
     /** One scratch arena per pool worker; grown on demand at warm-up. */
     std::vector<std::unique_ptr<Arena>> arenas_;
 };

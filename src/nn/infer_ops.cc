@@ -27,6 +27,39 @@ softmaxRows(const float *in, float *out, int64_t r0, int64_t r1,
 }
 
 void
+softmaxKeyMajor(float *scores, const int32_t *pos, float *probs,
+                float *stats, int64_t distinct, int64_t cols)
+{
+    float *max_v = stats;
+    float *inv = stats + distinct;
+    std::copy_n(scores + pos[0] * distinct, distinct, max_v);
+    for (int64_t c = 1; c < cols; ++c) {
+        const float *key = scores + pos[c] * distinct;
+        for (int64_t i = 0; i < distinct; ++i)
+            max_v[i] = std::max(max_v[i], key[i]);
+    }
+    for (int64_t j = 0; j < distinct; ++j) {
+        float *key = scores + j * distinct;
+        for (int64_t i = 0; i < distinct; ++i)
+            key[i] = std::exp(key[i] - max_v[i]);
+    }
+    std::fill(inv, inv + distinct, 0.0f);
+    for (int64_t c = 0; c < cols; ++c) {
+        const float *key = scores + pos[c] * distinct;
+        for (int64_t i = 0; i < distinct; ++i)
+            inv[i] += key[i];
+    }
+    for (int64_t i = 0; i < distinct; ++i)
+        inv[i] = 1.0f / inv[i];
+    for (int64_t c = 0; c < cols; ++c) {
+        const float *key = scores + pos[c] * distinct;
+        float *out = probs + c * distinct;
+        for (int64_t i = 0; i < distinct; ++i)
+            out[i] = key[i] * inv[i];
+    }
+}
+
+void
 layerNormRows(const float *in, const float *gamma, const float *beta,
               float *out, float *stats, int64_t r0, int64_t r1,
               int64_t cols, float eps)

@@ -12,7 +12,11 @@
  * the single compiled instance both paths call. Contraction-free maps
  * (bias add, relu, residual add, scale-by-constant, position sums) are
  * safe to restate at the call site and are provided as plain inline
- * helpers for the fused path's convenience.
+ * helpers for the fused path's convenience. softmaxKeyMajor, the fused
+ * path's softmax over deduplicated keys, is such a restatement of
+ * softmaxRows; it stays noinline so the scaled scores reach its
+ * subtraction through memory, never as a multiply the compiler could
+ * fuse into it.
  *
  * All functions are serial over their row range — callers own the
  * parallel partitioning (ops.cc via parallelRows, fused_infer via its
@@ -35,6 +39,23 @@ namespace tlp::nn::iops {
  */
 TLP_NOINLINE void softmaxRows(const float *in, float *out, int64_t r0,
                               int64_t r1, int64_t cols);
+
+/**
+ * Attention softmax over key positions for one block of distinct
+ * queries and keys, stored key-major: scores[j, i] is distinct query
+ * i's score against distinct key j (i, j in [0, distinct)), and key
+ * position c holds distinct key pos[c]. Per query this is softmaxRows
+ * on the gathered row (scores[pos[c], i]) for c in [0, cols), bit for
+ * bit: the max and the denominator run over all cols positions in
+ * order, and exp runs once per distinct query/key pair (scores is
+ * overwritten with the exps). Writes probs[c, i], the probability of
+ * position c for query i, and uses stats[0, 2 * distinct) as scratch.
+ * Queries are independent vector lanes; no query's arithmetic is
+ * reordered.
+ */
+TLP_NOINLINE void softmaxKeyMajor(float *scores, const int32_t *pos,
+                                  float *probs, float *stats,
+                                  int64_t distinct, int64_t cols);
 
 /**
  * Rows [r0, r1) of layer normalization with affine, matching ops.cc

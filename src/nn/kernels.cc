@@ -1,6 +1,7 @@
 #include "nn/kernels.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "support/arena.h"
 #include "support/thread_pool.h"
@@ -9,8 +10,67 @@ namespace tlp::nn::kern {
 
 namespace {
 
-/** K-block size: a [kKBlock x n<=256] B panel stays L1-resident. */
-constexpr int64_t kKBlock = 64;
+/** Float lanes in one gemmRows column panel (a 256-bit vector). */
+constexpr int64_t kLanes = 8;
+
+/** One column panel of C (or B) held in a vector register. */
+typedef float Lanes __attribute__((vector_size(kLanes * sizeof(float))));
+
+/** C rows gemmRows keeps in registers together (B panel reuse). */
+constexpr int kRowBlock = 6;
+
+/** B rows per zero-padded pack of gemmRows' last n % kLanes columns. */
+constexpr int64_t kPackRows = 256;
+
+/**
+ * C[Rows, width] = A[Rows, k] * B[k, Panels * kLanes] restricted to its
+ * first @p width columns (row strides lda, ldb, ldc). Each accumulator
+ * starts at 0 — or, with @p resume, at the value C already holds, which
+ * continues the same chain — takes a[r, p] * b[p, .] for p = 0, 1, ...
+ * k-1 in order, and is stored once: a C element's bits depend only on
+ * its A row, its B column and the k terms.
+ */
+template <int Rows, int Panels>
+inline void
+gemmPanel(const float *TLP_RESTRICT a, int64_t lda,
+          const float *TLP_RESTRICT b, int64_t ldb, int64_t k,
+          float *TLP_RESTRICT c, int64_t ldc, int64_t width, bool resume)
+{
+    Lanes acc[Rows][Panels] = {};
+    if (resume) {
+        for (int r = 0; r < Rows; ++r)
+            std::memcpy(acc[r], c + r * ldc,
+                        static_cast<size_t>(width) * sizeof(float));
+    }
+    for (int64_t p = 0; p < k; ++p) {
+        Lanes bv[Panels];
+        std::memcpy(bv, b + p * ldb, sizeof(bv));
+        for (int r = 0; r < Rows; ++r) {
+            const float av = a[r * lda + p];
+            for (int v = 0; v < Panels; ++v)
+                acc[r][v] += av * bv[v];
+        }
+    }
+    for (int r = 0; r < Rows; ++r)
+        std::memcpy(c + r * ldc, acc[r],
+                    static_cast<size_t>(width) * sizeof(float));
+}
+
+/**
+ * Rows [0, Rows) of C's first @p full columns (a multiple of kLanes):
+ * two-panel strips, then a one-panel strip, all over the same A rows.
+ */
+template <int Rows>
+inline void
+gemmFullPanels(const float *TLP_RESTRICT a, const float *TLP_RESTRICT b,
+               float *TLP_RESTRICT c, int64_t k, int64_t n, int64_t full)
+{
+    int64_t j = 0;
+    for (; j + 2 * kLanes <= full; j += 2 * kLanes)
+        gemmPanel<Rows, 2>(a, k, b + j, n, k, c + j, n, 2 * kLanes, false);
+    for (; j < full; j += kLanes)
+        gemmPanel<Rows, 1>(a, k, b + j, n, k, c + j, n, kLanes, false);
+}
 
 /** I-block size for the transposed update (dC panel reuse). */
 constexpr int64_t kIBlock = 64;
@@ -131,41 +191,34 @@ gemmRows(const float *TLP_RESTRICT a, const float *TLP_RESTRICT b,
          float *TLP_RESTRICT c, int64_t i0, int64_t i1, int64_t k,
          int64_t n)
 {
-    std::fill(c + i0 * n, c + i1 * n, 0.0f);
-    for (int64_t p0 = 0; p0 < k; p0 += kKBlock) {
-        const int64_t p1 = std::min(k, p0 + kKBlock);
-        for (int64_t i = i0; i < i1; ++i) {
-            float *TLP_RESTRICT crow = c + i * n;
-            const float *arow = a + i * k;
-            int64_t p = p0;
-            for (; p + 4 <= p1; p += 4) {
-                const float a0 = arow[p + 0];
-                const float a1 = arow[p + 1];
-                const float a2 = arow[p + 2];
-                const float a3 = arow[p + 3];
-                const float *b0 = b + (p + 0) * n;
-                const float *b1 = b + (p + 1) * n;
-                const float *b2 = b + (p + 2) * n;
-                const float *b3 = b + (p + 3) * n;
-                // Sequential accumulator chain: same float op order as
-                // four single-p iterations, but the C row stays in
-                // registers across four FMA streams.
-                for (int64_t j = 0; j < n; ++j) {
-                    float acc = crow[j];
-                    acc += a0 * b0[j];
-                    acc += a1 * b1[j];
-                    acc += a2 * b2[j];
-                    acc += a3 * b3[j];
-                    crow[j] = acc;
-                }
-            }
-            for (; p < p1; ++p) {
-                const float aval = arow[p];
-                const float *brow = b + p * n;
-                for (int64_t j = 0; j < n; ++j)
-                    crow[j] += aval * brow[j];
-            }
+    const int64_t full = n - n % kLanes;
+    int64_t i = i0;
+    for (; i + kRowBlock <= i1; i += kRowBlock)
+        gemmFullPanels<kRowBlock>(a + i * k, b, c + i * n, k, n, full);
+    for (; i < i1; ++i)
+        gemmFullPanels<1>(a + i * k, b, c + i * n, k, n, full);
+    const int64_t rest = n - full;
+    if (rest == 0)
+        return;
+    // The last n % kLanes columns of B, zero-padded to one panel and
+    // packed kPackRows rows at a time, run through the same panel
+    // chain; each later pack resumes from the C values stored so far.
+    float packed[kPackRows * kLanes];
+    for (int64_t p0 = 0; p0 < k; p0 += kPackRows) {
+        const int64_t kc = std::min(kPackRows, k - p0);
+        for (int64_t p = 0; p < kc; ++p) {
+            for (int64_t l = 0; l < kLanes; ++l)
+                packed[p * kLanes + l] =
+                    l < rest ? b[(p0 + p) * n + full + l] : 0.0f;
         }
+        const bool resume = p0 > 0;
+        i = i0;
+        for (; i + kRowBlock <= i1; i += kRowBlock)
+            gemmPanel<kRowBlock, 1>(a + i * k + p0, k, packed, kLanes, kc,
+                                    c + i * n + full, n, rest, resume);
+        for (; i < i1; ++i)
+            gemmPanel<1, 1>(a + i * k + p0, k, packed, kLanes, kc,
+                            c + i * n + full, n, rest, resume);
     }
 }
 

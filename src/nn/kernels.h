@@ -10,11 +10,12 @@
  * count (no atomics, no cross-thread reductions).
  *
  * gemm/gemmTN keep the per-element order of the naive i-k-j loops they
- * replaced: their micro-kernels take `__restrict`-qualified pointers
- * (the operands never alias) and unroll the k panel four-wide with a
- * single sequential accumulator chain per output element — the compiler
- * keeps the C row in registers/vectors across four FMA streams instead
- * of a load/store per multiply, without reordering any float addition.
+ * replaced, with a single sequential accumulator chain per output
+ * element and `__restrict`-qualified operands (they never alias).
+ * gemmRows is register-blocked: six C rows times one or two vector
+ * panels of columns stay in registers across the whole k loop, and the
+ * last n % 8 columns run through the same panel code on a zero-padded
+ * packed copy of B. gemmTN unrolls its i panel four-wide instead.
  *
  * gemmNT/bmmNT (dA = dC * B^T) pack B^T once per call (per batch entry
  * for bmmNT) into the calling thread's arena scratch. Each GA(i, p)
@@ -57,10 +58,17 @@ int64_t rowGrain(int64_t work_per_row);
 
 /**
  * Serial micro-kernel: rows [i0, i1) of C[m, n] = A[m, k] * B[k, n],
- * k-blocked, C fully overwritten. Per output element the k accumulation
- * order is globally increasing — identical to naive i-k-j. Exported
- * (and never inlined) so the fused inference path reuses this exact
- * code; all three operands must be disjoint.
+ * C fully overwritten. Register-blocked: six C rows times a one- or
+ * two-vector column panel accumulate in registers across the whole k
+ * loop; the last n % 8 columns use the same panel code on a zero-padded
+ * pack of B. Every element is the chain c = 0, c += a[i, p] * b[p, j]
+ * for p = 0, 1, ... k-1 — identical to naive i-k-j — whichever row
+ * block or column panel holds it, so it is position-independent: any
+ * row subset of A times any gathered column subset of B reproduces the
+ * matching elements of the full product bit for bit (the fused forward
+ * relies on this to multiply only distinct rows). Exported (and never
+ * inlined) so the fused inference path reuses this exact code; all
+ * three operands must be disjoint.
  */
 TLP_NOINLINE void gemmRows(const float *TLP_RESTRICT a,
                            const float *TLP_RESTRICT b,

@@ -8,8 +8,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "features/tlp_features.h"
@@ -18,6 +20,7 @@
 #include "models/cost_model.h"
 #include "models/feature_cache.h"
 #include "models/fused_infer.h"
+#include "nn/infer_ops.h"
 #include "sketch/policy.h"
 #include "support/arena.h"
 
@@ -222,6 +225,155 @@ TEST(FusedInfer, AllOptionCombinationsAgree)
               scoresWith(net, model::TlpInferOptions{true, 0}, states));
     EXPECT_EQ(baseline,
               scoresWith(net, model::TlpInferOptions{true, 64}, states));
+}
+
+/**
+ * @p n candidate feature matrices built to stress the distinct-row
+ * forward: rows drawn from a small pool (so they repeat within and
+ * across candidates), plus whole-candidate copies, all-padding
+ * candidates, single-distinct-row candidates and rows that differ only
+ * by the sign of a zero.
+ */
+std::vector<float>
+duplicateHeavyFeatures(const model::TlpNetConfig &config, int n,
+                       uint64_t seed)
+{
+    const auto E = static_cast<size_t>(config.emb_size);
+    const auto S = static_cast<size_t>(config.seq_len);
+    Rng rng(seed);
+    std::vector<std::vector<float>> pool(6, std::vector<float>(E));
+    for (auto &row : pool)
+        for (float &v : row)
+            v = static_cast<float>(rng.uniform(-2.0, 2.0));
+    // Signed-zero twins: equal under float ==, distinct as bytes.
+    for (size_t e = 0; e < E; e += 3)
+        pool[4][e] = 0.0f;
+    pool[5] = pool[4];
+    for (size_t e = 0; e < E; e += 3)
+        pool[5][e] = -0.0f;
+
+    std::vector<float> features(static_cast<size_t>(n) * S * E, 0.0f);
+    for (int c = 0; c < n; ++c) {
+        float *cand = features.data() + static_cast<size_t>(c) * S * E;
+        auto row = [&](size_t l) { return cand + l * E; };
+        switch (c % 6) {
+          case 0:   // all padding
+            break;
+          case 1:   // one distinct row
+            for (size_t l = 0; l < S; ++l)
+                std::copy(pool[1].begin(), pool[1].end(), row(l));
+            break;
+          case 2:   // a copy of the previous candidate
+            std::copy(cand - S * E, cand, cand);
+            break;
+          case 3: {  // pool rows, then zero padding (the real layout)
+            const auto used =
+                1 + static_cast<size_t>(rng.randint(
+                        static_cast<int64_t>(S)));
+            for (size_t l = 0; l < used; ++l) {
+                const auto &src = rng.choice(pool);
+                std::copy(src.begin(), src.end(), row(l));
+            }
+            break;
+          }
+          case 4:   // signed-zero twins interleaved with padding
+            for (size_t l = 0; l < S; ++l) {
+                if (l % 3 == 2)
+                    continue;
+                const auto &src = pool[4 + l % 3];
+                std::copy(src.begin(), src.end(), row(l));
+            }
+            break;
+          default:  // every position different
+            for (size_t l = 0; l < S; ++l)
+                for (size_t e = 0; e < E; ++e)
+                    row(l)[e] = static_cast<float>(rng.uniform(-1.0, 1.0));
+            break;
+        }
+    }
+    return features;
+}
+
+TEST(FusedInfer, DuplicateHeavyBatchesMatchOracleBitForBit)
+{
+    std::vector<model::TlpNetConfig> configs(3);
+    configs[0].hidden = 32;
+    configs[0].heads = 4;
+    configs[1].hidden = 48;
+    configs[1].heads = 6;
+    configs[1].head_hidden = 24;
+    configs[1].num_tasks = 2;   // configs[2] is the default 64 / 8
+    for (const auto &config : configs) {
+        auto net = makeNet(config, 12);
+        model::FusedTlpInference fused(net);
+        for (int n : {1, 15, 16, 17, 33}) {
+            data::LabeledSet set;
+            set.rows = n;
+            set.feature_dim = config.seq_len * config.emb_size;
+            set.features = duplicateHeavyFeatures(config, n, 100 + n);
+            for (int task = 0; task < config.num_tasks; ++task) {
+                const auto oracle = model::predictTlpNet(*net, set, task);
+                std::vector<double> got(static_cast<size_t>(n));
+                fused.predict(set.features.data(), n, task, got.data());
+                ASSERT_EQ(got.size(), oracle.size());
+                EXPECT_EQ(std::memcmp(got.data(), oracle.data(),
+                                      got.size() * sizeof(double)),
+                          0)
+                    << "hidden=" << config.hidden << " n=" << n
+                    << " task=" << task;
+            }
+        }
+    }
+}
+
+TEST(FusedInfer, KeyMajorSoftmaxMatchesGatheredSoftmaxRows)
+{
+    // Per query, softmaxKeyMajor must equal softmaxRows on the gathered
+    // position row bit for bit — NaN, signed zeros and ties included.
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    Rng rng(77);
+    for (int trial = 0; trial < 200; ++trial) {
+        const int cols = 1 + static_cast<int>(rng.randint(25));
+        // Positions map to distinct keys with repeats, numbered by first
+        // occurrence as forwardBlock numbers them.
+        std::vector<int32_t> pos(static_cast<size_t>(cols));
+        int32_t distinct = 0;
+        for (int32_t &p : pos) {
+            p = distinct > 0 && rng.uniform() < 0.5
+                    ? static_cast<int32_t>(rng.randint(distinct))
+                    : distinct++;
+        }
+        const auto u = static_cast<size_t>(distinct);
+        std::vector<float> scores(u * u);
+        for (float &s : scores) {
+            const double kind = rng.uniform();
+            s = kind < 0.05   ? nan
+                : kind < 0.15 ? 0.0f
+                : kind < 0.25 ? -0.0f
+                : kind < 0.35 ? 1.5f
+                              : static_cast<float>(rng.uniform(-4.0, 4.0));
+        }
+        std::vector<float> expect(u * static_cast<size_t>(cols));
+        for (size_t i = 0; i < u; ++i) {
+            float *row = expect.data() + i * static_cast<size_t>(cols);
+            for (int c = 0; c < cols; ++c)
+                row[c] = scores[static_cast<size_t>(pos[c]) * u + i];
+            nn::iops::softmaxRows(row, row, 0, 1, cols);
+        }
+        std::vector<float> probs(static_cast<size_t>(cols) * u);
+        std::vector<float> stats(2 * u);
+        nn::iops::softmaxKeyMajor(scores.data(), pos.data(), probs.data(),
+                                  stats.data(), distinct, cols);
+        for (size_t i = 0; i < u; ++i) {
+            for (int c = 0; c < cols; ++c) {
+                const float got = probs[static_cast<size_t>(c) * u + i];
+                const float want =
+                    expect[i * static_cast<size_t>(cols) + c];
+                EXPECT_EQ(std::memcmp(&got, &want, sizeof(float)), 0)
+                    << "trial " << trial << " query " << i << " pos " << c;
+            }
+        }
+    }
 }
 
 TEST(FusedInfer, LstmBackboneFallsBackToInterpreted)

@@ -5,7 +5,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <optional>
@@ -507,6 +509,7 @@ const std::vector<KernelShape> kKernelShapes = {
     {16, 25, 25, 8},    // attention P V
     {1, 1, 7, 3},       // a single row
     {3, 5, 300, 17},    // k wider than one accumulator block
+    {1, 13, 300, 9},    // row and column remainders, k over one pack
 };
 
 std::vector<float>
@@ -606,6 +609,69 @@ TEST(Kernels, MatchDoublePrecisionReference)
                      << "batch " << s.batch << " m " << s.m << " k " << s.k
                      << " n " << s.n);
         runKernels(s, 40);
+    }
+}
+
+TEST(Kernels, GemmRowsIsPositionIndependent)
+{
+    // The fused forward multiplies row subsets (distinct rows) against
+    // gathered column subsets (distinct keys): every such product must
+    // reproduce the matching elements of the full product bit for bit.
+    Rng rng(42);
+    const int64_t m = 25;
+    for (int64_t n : {1, 8, 25, 64}) {
+        for (int64_t k : {8, 22, 25, 64, 130}) {
+            SCOPED_TRACE(::testing::Message() << "k " << k << " n " << n);
+            const auto a = randomValues(m * k, rng);
+            const auto b = randomValues(k * n, rng);
+            std::vector<float> full(static_cast<size_t>(m * n));
+            kern::gemmRows(a.data(), b.data(), full.data(), 0, m, k, n);
+            for (int trial = 0; trial < 8; ++trial) {
+                // Random row and column subsets, in random order.
+                const int64_t rows = 1 + rng.randint(m);
+                const int64_t cols = 1 + rng.randint(n);
+                std::vector<int64_t> row_of(static_cast<size_t>(rows));
+                std::vector<int64_t> col_of(static_cast<size_t>(cols));
+                for (int64_t &r : row_of)
+                    r = rng.randint(m);
+                for (int64_t &c : col_of)
+                    c = rng.randint(n);
+                std::vector<float> sub_a(static_cast<size_t>(rows * k));
+                std::vector<float> sub_b(static_cast<size_t>(k * cols));
+                for (int64_t i = 0; i < rows; ++i)
+                    std::copy_n(a.data() + row_of[i] * k, k,
+                                sub_a.data() + i * k);
+                for (int64_t p = 0; p < k; ++p)
+                    for (int64_t j = 0; j < cols; ++j)
+                        sub_b[p * cols + j] = b[p * n + col_of[j]];
+                std::vector<float> sub(static_cast<size_t>(rows * cols));
+                kern::gemmRows(sub_a.data(), sub_b.data(), sub.data(), 0,
+                               rows, k, cols);
+                for (int64_t i = 0; i < rows; ++i) {
+                    for (int64_t j = 0; j < cols; ++j) {
+                        const float got = sub[i * cols + j];
+                        const float want =
+                            full[row_of[i] * n + col_of[j]];
+                        EXPECT_EQ(std::memcmp(&got, &want, sizeof(float)),
+                                  0)
+                            << "row " << row_of[i] << " col " << col_of[j];
+                    }
+                }
+            }
+            // A row range [i0, i1) writes exactly those rows of C.
+            for (int64_t i0 = 0; i0 < m; i0 += 7) {
+                const int64_t i1 = std::min(m, i0 + 1 + rng.randint(9));
+                std::vector<float> part(full.size(), 0.0f);
+                kern::gemmRows(a.data(), b.data(), part.data(), i0, i1, k,
+                               n);
+                EXPECT_EQ(std::memcmp(part.data() + i0 * n,
+                                      full.data() + i0 * n,
+                                      static_cast<size_t>((i1 - i0) * n) *
+                                          sizeof(float)),
+                          0)
+                    << "rows [" << i0 << ", " << i1 << ")";
+            }
+        }
     }
 }
 

@@ -7,6 +7,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <stdexcept>
@@ -297,6 +298,12 @@ TEST(BitIdentical, FusedAndCachedInferenceAtAnyThreadCount)
     sketch::SchedulePolicy policy(workload.subgraphs[0], false);
     const auto states = policy.sampleInitPopulation(48, rng);
     ASSERT_FALSE(states.empty());
+    // A duplicate-heavy population too: a few schedules, each repeated
+    // across blocks (the fused forward dedups rows within a block).
+    std::vector<sched::State> repeated;
+    for (int copy = 0; copy < 9; ++copy)
+        for (size_t i = 0; i < std::min<size_t>(5, states.size()); ++i)
+            repeated.push_back(states[i]);
 
     Rng net_rng(111);
     model::TlpNetConfig config;
@@ -306,24 +313,28 @@ TEST(BitIdentical, FusedAndCachedInferenceAtAnyThreadCount)
 
     const auto runs = runAtThreadCounts([&] {
         std::vector<std::vector<float>> out;
-        for (const auto &options :
-             {model::TlpInferOptions::legacy(),
-              model::TlpInferOptions{true, 0},
-              model::TlpInferOptions{false, 256},
-              model::TlpInferOptions{true, 256}}) {
-            model::TlpCostModel cost_model(net, {}, 0, options);
-            const auto cold = cost_model.predictBatch(0, states);
-            const auto warm = cost_model.predictBatch(0, states);
-            EXPECT_EQ(cold, warm);
-            std::vector<float> row;
-            for (double s : cold)
-                row.push_back(static_cast<float>(s));
-            out.push_back(std::move(row));
+        for (const auto *population :
+             std::initializer_list<const std::vector<sched::State> *>{
+                 &states, &repeated}) {
+            const size_t first = out.size();
+            for (const auto &options :
+                 {model::TlpInferOptions::legacy(),
+                  model::TlpInferOptions{true, 0},
+                  model::TlpInferOptions{false, 256},
+                  model::TlpInferOptions{true, 256}}) {
+                model::TlpCostModel cost_model(net, {}, 0, options);
+                const auto cold = cost_model.predictBatch(0, *population);
+                const auto warm = cost_model.predictBatch(0, *population);
+                EXPECT_EQ(cold, warm);
+                std::vector<float> row;
+                for (double s : cold)
+                    row.push_back(static_cast<float>(s));
+                out.push_back(std::move(row));
+            }
+            // All four option combinations agree with each other...
+            for (size_t i = first + 1; i < out.size(); ++i)
+                EXPECT_EQ(out[first], out[i]);
         }
-        // All four option combinations agree with each other...
-        EXPECT_EQ(out[0], out[1]);
-        EXPECT_EQ(out[0], out[2]);
-        EXPECT_EQ(out[0], out[3]);
         return out;
     });
     // ...and with themselves across thread counts.
