@@ -1,9 +1,14 @@
 #include "bench/bench_common.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 
 #include "ir/model_zoo.h"
 #include "ir/partition.h"
@@ -70,9 +75,9 @@ collectionFingerprint(const data::CollectOptions &options)
     }
 
     // Scoring-path probe: a fixed tiny net scored over a fixed
-    // population through both the legacy (interpreted, uncached) and
-    // the fast (fused, cached) inference paths. Any behavioral drift in
-    // feature extraction or either forward — including a fused/cached
+    // population by the interpreted oracle and then by TlpCostModel
+    // (fused forward + cache). Any behavioral drift in feature
+    // extraction or either forward — including a fused/oracle
     // divergence, which must never happen — moves the fingerprint and
     // regenerates the memo instead of serving it stale.
     const auto score_states = policy.sampleInitPopulation(4, rng);
@@ -85,12 +90,11 @@ collectionFingerprint(const data::CollectOptions &options)
     Rng probe_rng(0x70be);
     auto probe_net =
         std::make_shared<model::TlpNet>(probe_config, probe_rng);
-    for (const auto &infer : {model::TlpInferOptions::legacy(),
-                              model::TlpInferOptions{true, 64}}) {
-        model::TlpCostModel cost_model(probe_net, {}, 0, infer);
-        for (double score : cost_model.predictBatch(0, score_states))
-            hash = mixDouble(hash, score);
-    }
+    for (double score : oracleTlpScores(*probe_net, score_states))
+        hash = mixDouble(hash, score);
+    model::TlpCostModel cost_model(probe_net, {}, 0, 64);
+    for (double score : cost_model.predictBatch(0, score_states))
+        hash = mixDouble(hash, score);
     return hash;
 }
 
@@ -366,6 +370,96 @@ tuneNetwork(const std::string &network, const std::string &platform,
     return tune::tuneWorkload(
         workload, hw, cost_model,
         benchTuneOptions(static_cast<int>(workload.subgraphs.size())));
+}
+
+std::vector<double>
+oracleTlpScores(model::TlpNet &net, const std::vector<sched::State> &states,
+                int task)
+{
+    feat::TlpFeatureOptions options;
+    options.seq_len = net.config().seq_len;
+    options.emb_size = net.config().emb_size;
+    std::vector<float> rows;
+    for (const sched::State &state : states) {
+        const auto row = feat::extractTlpFeatures(state.steps(), options);
+        rows.insert(rows.end(), row.begin(), row.end());
+    }
+    return model::interpretedTlpScores(
+        net, rows.data(), static_cast<int64_t>(states.size()), task);
+}
+
+double
+now()
+{
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    std::ostringstream os;
+    os << is.rdbuf();
+    return os.str();
+}
+
+std::string
+scratchPath(const std::string &name)
+{
+    /** The process's scratch root, removed when the process exits. */
+    struct ScratchRoot
+    {
+        std::filesystem::path path =
+            std::filesystem::temp_directory_path() /
+            ("tlp_bench_scratch_" + std::to_string(::getpid()));
+
+        ScratchRoot() { std::filesystem::create_directories(path); }
+        ~ScratchRoot()
+        {
+            std::error_code ec;
+            std::filesystem::remove_all(path, ec);
+        }
+    };
+    static const ScratchRoot root;
+    return (root.path / name).string();
+}
+
+std::vector<serve::SessionSpec>
+buildFleet(int sessions, int rounds, uint64_t seed_base,
+           const std::vector<serve::ModelKind> &kinds)
+{
+    std::vector<serve::SessionSpec> fleet;
+    for (int i = 0; i < sessions; ++i) {
+        serve::SessionSpec spec;
+        char name[16];
+        std::snprintf(name, sizeof(name), "s%03d", i);
+        spec.name = name;
+        spec.network = "resnet-18";
+        spec.platform = i % 2 == 0 ? "i7-10510u" : "platinum-8272";
+        spec.model = kinds[static_cast<size_t>(i) % kinds.size()];
+        spec.max_subgraphs = 2;
+        spec.tune.rounds = rounds;
+        spec.tune.measures_per_round = 4;
+        spec.tune.evolution.population = 24;
+        spec.tune.evolution.iterations = 2;
+        spec.tune.evolution.children_per_iter = 12;
+        spec.tune.measure.seconds_per_measure = 0.25;
+        spec.tune.seed = seed_base + static_cast<uint64_t>(i);
+        fleet.push_back(std::move(spec));
+    }
+    return fleet;
+}
+
+serve::ServiceOptions
+serviceOptions(const std::string &dir, int fleet_size)
+{
+    serve::ServiceOptions options;
+    options.dir = dir;
+    options.max_active = fleet_size;
+    options.max_queued = fleet_size;
+    return options;
 }
 
 data::TopKPair

@@ -20,6 +20,7 @@
 #include "models/tlp_model.h"
 #include "support/config.h"
 #include "support/table.h"
+#include "tuner/service/service.h"
 #include "tuner/session.h"
 
 namespace tlp::bench {
@@ -141,5 +142,42 @@ tune::TuneOptions benchTuneOptions(int num_tasks);
 tune::TuneResult tuneNetwork(const std::string &network,
                              const std::string &platform,
                              model::CostModel &cost_model);
+
+/**
+ * The interpreted oracle (model::interpretedTlpScores) over the
+ * extractTlpFeatures rows of @p states: the bits TlpCostModel must
+ * reproduce.
+ */
+std::vector<double> oracleTlpScores(model::TlpNet &net,
+                                    const std::vector<sched::State> &states,
+                                    int task = 0);
+
+// --- shared setup of the timing and robustness drills ---
+
+/** Monotonic seconds, for wall-clock timings. */
+double now();
+
+/** Whole contents of @p path (empty when it cannot be read). */
+std::string readFile(const std::string &path);
+
+/**
+ * Path of @p name in this process's scratch directory,
+ * `<temp>/tlp_bench_scratch_<pid>/`, which is created on first use and
+ * removed at exit: benches running in parallel never share a path.
+ */
+std::string scratchPath(const std::string &name);
+
+/**
+ * The drills' fleet: @p sessions resnet-18 sessions of @p rounds rounds
+ * named s000, s001, ..., alternating the two CPU platforms, cycling
+ * through @p kinds, seeded @p seed_base + index.
+ */
+std::vector<serve::SessionSpec>
+buildFleet(int sessions, int rounds, uint64_t seed_base,
+           const std::vector<serve::ModelKind> &kinds);
+
+/** Service options that admit a whole @p fleet_size fleet at once. */
+serve::ServiceOptions serviceOptions(const std::string &dir,
+                                     int fleet_size);
 
 } // namespace tlp::bench

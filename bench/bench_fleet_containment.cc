@@ -18,76 +18,15 @@
  * Emits BENCH_fleet_containment.json; exits nonzero on any isolation
  * or repair violation.
  */
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "artifact/audit.h"
 #include "bench/bench_common.h"
 #include "tuner/service/service.h"
 
 using namespace tlp;
-
-namespace {
-
-double
-now()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    std::ostringstream os;
-    os << is.rdbuf();
-    return os.str();
-}
-
-std::vector<serve::SessionSpec>
-buildFleet(int sessions, int rounds)
-{
-    const serve::ModelKind kinds[4] = {
-        serve::ModelKind::Ansor, serve::ModelKind::Random,
-        serve::ModelKind::GuardedAnsor, serve::ModelKind::Random};
-    std::vector<serve::SessionSpec> fleet;
-    for (int i = 0; i < sessions; ++i) {
-        serve::SessionSpec spec;
-        char name[16];
-        std::snprintf(name, sizeof(name), "s%03d", i);
-        spec.name = name;
-        spec.network = "resnet-18";
-        spec.platform = i % 2 == 0 ? "i7-10510u" : "platinum-8272";
-        spec.model = kinds[i % 4];
-        spec.max_subgraphs = 2;
-        spec.tune.rounds = rounds;
-        spec.tune.measures_per_round = 4;
-        spec.tune.evolution.population = 24;
-        spec.tune.evolution.iterations = 2;
-        spec.tune.evolution.children_per_iter = 12;
-        spec.tune.measure.seconds_per_measure = 0.25;
-        spec.tune.seed = 0x70c51 + static_cast<uint64_t>(i);
-        fleet.push_back(std::move(spec));
-    }
-    return fleet;
-}
-
-serve::ServiceOptions
-serviceOptions(const std::string &dir, int fleet_size)
-{
-    serve::ServiceOptions options;
-    options.dir = dir;
-    options.max_active = fleet_size;
-    options.max_queued = fleet_size;
-    return options;
-}
-
-} // namespace
 
 int
 main()
@@ -97,7 +36,10 @@ main()
     const int rounds = std::max(4, static_cast<int>(4 * scale));
     const int poison_index = sessions / 2;
     const int breaker_limit = 4;
-    const auto fleet = buildFleet(sessions, rounds);
+    const auto fleet = bench::buildFleet(
+        sessions, rounds, 0x70c51,
+        {serve::ModelKind::Ansor, serve::ModelKind::Random,
+         serve::ModelKind::GuardedAnsor, serve::ModelKind::Random});
     const std::string poisoned = fleet[poison_index].name;
 
     std::printf("fleet containment drill: %d sessions x %d rounds, "
@@ -107,31 +49,30 @@ main()
     // (a) Golden: the world without the poisoned spec.
     auto golden_fleet = fleet;
     golden_fleet.erase(golden_fleet.begin() + poison_index);
-    const std::string golden_dir = "/tmp/tlp_bench_containment_golden";
-    std::filesystem::remove_all(golden_dir);
-    double t0 = now();
+    const std::string golden_dir = bench::scratchPath("containment_golden");
+    double t0 = bench::now();
     serve::TuningService golden(
-        serviceOptions(golden_dir, sessions));
+        bench::serviceOptions(golden_dir, sessions));
     golden.recover(golden_fleet);
     const int64_t golden_ticks = golden.runUntilIdle();
-    const double golden_seconds = now() - t0;
+    const double golden_seconds = bench::now() - t0;
     std::printf("golden: %lld ticks, %.2fs wall\n",
                 static_cast<long long>(golden_ticks), golden_seconds);
 
     // (b) Drill: full fleet, one poisoned session, breaker armed.
-    const std::string drill_dir = "/tmp/tlp_bench_containment_drill";
-    std::filesystem::remove_all(drill_dir);
-    serve::ServiceOptions options = serviceOptions(drill_dir, sessions);
+    const std::string drill_dir = bench::scratchPath("containment_drill");
+    serve::ServiceOptions options =
+        bench::serviceOptions(drill_dir, sessions);
     options.faults.poison_session = poisoned;
     options.faults.poison_after_round = 1;
     options.breaker_trip_limit = breaker_limit;
     options.backoff_base_ticks = 1;
     options.backoff_cap_ticks = 4;
-    t0 = now();
+    t0 = bench::now();
     serve::TuningService drill(options);
     drill.recover(fleet);
     const int64_t drill_ticks = drill.runUntilIdle();
-    const double drill_seconds = now() - t0;
+    const double drill_seconds = bench::now() - t0;
     const auto &stats = drill.stats();
     const bool tripped =
         drill.status(poisoned) ==
@@ -152,9 +93,9 @@ main()
                                              ".curve");
     for (const auto &spec : golden_fleet) {
         const std::string want =
-            readFile(golden_dir + "/" + spec.name + ".curve");
+            bench::readFile(golden_dir + "/" + spec.name + ".curve");
         const std::string got =
-            readFile(drill_dir + "/" + spec.name + ".curve");
+            bench::readFile(drill_dir + "/" + spec.name + ".curve");
         if (want.empty() || want != got) {
             isolated = false;
             std::printf("CURVE MISMATCH: %s\n", spec.name.c_str());

@@ -18,11 +18,9 @@
  *
  * Emits BENCH_io_chaos.json; exits nonzero on any violation.
  */
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <set>
 #include <sstream>
@@ -43,23 +41,6 @@
 using namespace tlp;
 
 namespace {
-
-double
-now()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    std::ostringstream os;
-    os << is.rdbuf();
-    return os.str();
-}
 
 // --- artifact builders (two generations per format) ----------------------
 
@@ -97,7 +78,7 @@ snapshotBytes(uint64_t seed)
 std::string
 checkpointBytes(uint64_t seed)
 {
-    const std::string path = "/tmp/tlp_bench_io_seed.ckpt";
+    const std::string path = bench::scratchPath("io_seed.ckpt");
     std::remove(path.c_str());
     ir::Workload full = ir::partitionGraph(ir::buildNetwork("resnet-18"));
     ir::Workload slim;
@@ -119,7 +100,7 @@ checkpointBytes(uint64_t seed)
     tune::tuneWorkload(slim,
                        hw::HardwarePlatform::preset("platinum-8272"),
                        cost_model, options);
-    std::string bytes = readFile(path);
+    std::string bytes = bench::readFile(path);
     std::remove(path.c_str());
     return bytes;
 }
@@ -203,7 +184,7 @@ runSaveDrill(const char *format, const std::string &gen1,
     DrillRow row;
     row.format = format;
     const std::string path =
-        std::string("/tmp/tlp_bench_io_drill_") + format + ".bin";
+        bench::scratchPath(std::string("io_drill_") + format + ".bin");
     std::remove(path.c_str());
     sweepStaleTempsFor(path);
 
@@ -214,7 +195,7 @@ runSaveDrill(const char *format, const std::string &gen1,
                      static_cast<std::streamsize>(bytes.size()));
         });
     };
-    if (!write(gen1).ok() || readFile(path) != gen1) {
+    if (!write(gen1).ok() || bench::readFile(path) != gen1) {
         row.violations += 1;   // cannot even establish generation 1
         return row;
     }
@@ -240,9 +221,9 @@ runSaveDrill(const char *format, const std::string &gen1,
         env.armNextWrite(decision);
         row.fault_points += 1;
         bool bad = false;
-        bad |= write(gen2).ok();          // the fault must be reported
-        bad |= readFile(path) != gen1;    // gen-1 must be untouched
-        bad |= !load(path).ok();          // and still load — never torn
+        bad |= write(gen2).ok();                // the fault must be reported
+        bad |= bench::readFile(path) != gen1;   // gen-1 must be untouched
+        bad |= !load(path).ok();                // and still load — never torn
         if (bad) {
             row.violations += 1;
             std::printf("  VIOLATION: %s under %s torn_at=%lld\n",
@@ -252,48 +233,11 @@ runSaveDrill(const char *format, const std::string &gen1,
     }
 
     row.debris_swept = sweepStaleTempsFor(path);
-    if (!write(gen2).ok() || readFile(path) != gen2 || !load(path).ok())
+    if (!write(gen2).ok() || bench::readFile(path) != gen2 ||
+        !load(path).ok())
         row.violations += 1;   // the fault-free overwrite must commit
     std::remove(path.c_str());
     return row;
-}
-
-// --- service chaos fleet -------------------------------------------------
-
-std::vector<serve::SessionSpec>
-buildFleet(int sessions, int rounds)
-{
-    std::vector<serve::SessionSpec> fleet;
-    for (int i = 0; i < sessions; ++i) {
-        serve::SessionSpec spec;
-        char name[16];
-        std::snprintf(name, sizeof(name), "s%03d", i);
-        spec.name = name;
-        spec.network = "resnet-18";
-        spec.platform = i % 2 == 0 ? "i7-10510u" : "platinum-8272";
-        spec.model = i % 2 == 0 ? serve::ModelKind::Ansor
-                                : serve::ModelKind::Random;
-        spec.max_subgraphs = 2;
-        spec.tune.rounds = rounds;
-        spec.tune.measures_per_round = 4;
-        spec.tune.evolution.population = 24;
-        spec.tune.evolution.iterations = 2;
-        spec.tune.evolution.children_per_iter = 12;
-        spec.tune.measure.seconds_per_measure = 0.25;
-        spec.tune.seed = 0x10c4 + static_cast<uint64_t>(i);
-        fleet.push_back(std::move(spec));
-    }
-    return fleet;
-}
-
-serve::ServiceOptions
-serviceOptions(const std::string &dir, int fleet_size)
-{
-    serve::ServiceOptions options;
-    options.dir = dir;
-    options.max_active = fleet_size;
-    options.max_queued = fleet_size;
-    return options;
 }
 
 } // namespace
@@ -302,7 +246,7 @@ int
 main()
 {
     const double scale = benchScale();
-    const double t0 = now();
+    const double t0 = bench::now();
 
     // --- Part 1: fault-point enumeration, five formats -------------------
     std::printf("save-fault enumeration (every fault point, crash "
@@ -347,20 +291,26 @@ main()
         fault_points += row.fault_points;
         violations += row.violations;
     }
-    const double drill_seconds = now() - t0;
+    const double drill_seconds = bench::now() - t0;
     std::printf("total: %d fault points, %d violations (%.2fs)\n",
                 fault_points, violations, drill_seconds);
 
     // --- Part 2: fleet under chaos, curves must not drift ----------------
     const int sessions = std::max(4, static_cast<int>(4 * scale));
     const int rounds = std::max(3, static_cast<int>(3 * scale));
-    const auto fleet = buildFleet(sessions, rounds);
+    const auto fleet = bench::buildFleet(
+        sessions, rounds, 0x10c4,
+        {serve::ModelKind::Ansor, serve::ModelKind::Random});
     const int64_t kill_tick =
         static_cast<int64_t>(sessions) * rounds / 2;
 
-    const std::string golden_dir = "/tmp/tlp_bench_io_golden";
-    std::filesystem::remove_all(golden_dir);
-    serve::TuningService golden(serviceOptions(golden_dir, sessions));
+    // The fault schedule is keyed by the full artifact path, so the
+    // fleets run in relative directories under the process's scratch
+    // directory: the draws stay independent of the process id.
+    const auto launch_dir = std::filesystem::current_path();
+    std::filesystem::current_path(bench::scratchPath(""));
+    const std::string golden_dir = "io_golden";
+    serve::TuningService golden(bench::serviceOptions(golden_dir, sessions));
     golden.recover(fleet);
     golden.runUntilIdle();
 
@@ -369,34 +319,36 @@ main()
     chaos.seed = 0xd15c;
     chaos.crash_debris = true;
 
-    const std::string chaos_dir = "/tmp/tlp_bench_io_chaos";
-    std::filesystem::remove_all(chaos_dir);
-    const double t1 = now();
+    const std::string chaos_dir = "io_chaos";
+    const double t1 = bench::now();
     serve::RecoveryReport report;
     {
         ScopedIoFaults scope(chaos);
-        serve::TuningService victim(serviceOptions(chaos_dir, sessions));
+        serve::TuningService victim(
+            bench::serviceOptions(chaos_dir, sessions));
         victim.recover(fleet);
         victim.runUntilIdle(kill_tick);
         // destroyed here: the "kill -9", with fault debris on disk
     }
     ScopedIoFaults scope(chaos);
-    serve::TuningService recovered(serviceOptions(chaos_dir, sessions));
+    serve::TuningService recovered(
+        bench::serviceOptions(chaos_dir, sessions));
     report = recovered.recover(fleet);
     recovered.runUntilIdle();
-    const double chaos_seconds = now() - t1;
+    const double chaos_seconds = bench::now() - t1;
 
     bool curves_identical = true;
     for (const auto &spec : fleet) {
         const std::string golden_curve =
-            readFile(golden.curvePath(spec.name));
+            bench::readFile(golden.curvePath(spec.name));
         const std::string chaos_curve =
-            readFile(recovered.curvePath(spec.name));
+            bench::readFile(recovered.curvePath(spec.name));
         if (golden_curve.empty() || golden_curve != chaos_curve) {
             curves_identical = false;
             std::printf("  CURVE MISMATCH: %s\n", spec.name.c_str());
         }
     }
+    std::filesystem::current_path(launch_dir);
     const auto &stats = recovered.stats();
     std::printf("fleet under chaos (rate %.2f): %d sessions x %d rounds, "
                 "kill at tick %lld, %.2fs\n",

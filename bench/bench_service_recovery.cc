@@ -14,75 +14,13 @@
  *
  * Emits BENCH_service.json.
  */
-#include <chrono>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "bench/bench_common.h"
 #include "tuner/service/service.h"
 
 using namespace tlp;
-
-namespace {
-
-double
-now()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    std::ostringstream os;
-    os << is.rdbuf();
-    return os.str();
-}
-
-std::vector<serve::SessionSpec>
-buildFleet(int sessions, int rounds)
-{
-    const serve::ModelKind kinds[4] = {
-        serve::ModelKind::Ansor, serve::ModelKind::Random,
-        serve::ModelKind::GuardedAnsor, serve::ModelKind::Random};
-    std::vector<serve::SessionSpec> fleet;
-    for (int i = 0; i < sessions; ++i) {
-        serve::SessionSpec spec;
-        char name[16];
-        std::snprintf(name, sizeof(name), "s%03d", i);
-        spec.name = name;
-        spec.network = "resnet-18";
-        spec.platform = i % 2 == 0 ? "i7-10510u" : "platinum-8272";
-        spec.model = kinds[i % 4];
-        spec.max_subgraphs = 2;
-        spec.tune.rounds = rounds;
-        spec.tune.measures_per_round = 4;
-        spec.tune.evolution.population = 24;
-        spec.tune.evolution.iterations = 2;
-        spec.tune.evolution.children_per_iter = 12;
-        spec.tune.measure.seconds_per_measure = 0.25;
-        spec.tune.seed = 0xbe7c + static_cast<uint64_t>(i);
-        fleet.push_back(std::move(spec));
-    }
-    return fleet;
-}
-
-serve::ServiceOptions
-serviceOptions(const std::string &dir, int fleet_size)
-{
-    serve::ServiceOptions options;
-    options.dir = dir;
-    options.max_active = fleet_size;
-    options.max_queued = fleet_size;
-    return options;
-}
-
-} // namespace
 
 int
 main()
@@ -90,7 +28,10 @@ main()
     const double scale = benchScale();
     const int sessions = std::max(8, static_cast<int>(8 * scale));
     const int rounds = std::max(4, static_cast<int>(4 * scale));
-    const auto fleet = buildFleet(sessions, rounds);
+    const auto fleet = bench::buildFleet(
+        sessions, rounds, 0xbe7c,
+        {serve::ModelKind::Ansor, serve::ModelKind::Random,
+         serve::ModelKind::GuardedAnsor, serve::ModelKind::Random});
     const int64_t kill_tick = static_cast<int64_t>(sessions) * rounds / 2;
 
     std::printf("service recovery drill: %d sessions x %d rounds, kill "
@@ -98,21 +39,20 @@ main()
                 sessions, rounds, static_cast<long long>(kill_tick));
 
     // (a) Golden, uninterrupted.
-    const std::string golden_dir = "/tmp/tlp_bench_service_golden";
-    std::filesystem::remove_all(golden_dir);
-    double t0 = now();
-    serve::TuningService golden(serviceOptions(golden_dir, sessions));
+    const std::string golden_dir = bench::scratchPath("service_golden");
+    double t0 = bench::now();
+    serve::TuningService golden(bench::serviceOptions(golden_dir, sessions));
     golden.recover(fleet);
     const int64_t golden_ticks = golden.runUntilIdle();
-    const double golden_seconds = now() - t0;
+    const double golden_seconds = bench::now() - t0;
     std::printf("golden: %lld ticks, %.2fs wall\n",
                 static_cast<long long>(golden_ticks), golden_seconds);
 
     // (b) Kill at a fixed tick, corrupt one checkpoint, recover.
-    const std::string drill_dir = "/tmp/tlp_bench_service_drill";
-    std::filesystem::remove_all(drill_dir);
+    const std::string drill_dir = bench::scratchPath("service_drill");
     {
-        serve::TuningService victim(serviceOptions(drill_dir, sessions));
+        serve::TuningService victim(
+            bench::serviceOptions(drill_dir, sessions));
         victim.recover(fleet);
         victim.runUntilIdle(kill_tick);
         // destroyed here: the "kill -9"
@@ -120,7 +60,7 @@ main()
     {
         // One torn checkpoint: flip bytes mid-file.
         const std::string path = drill_dir + "/s001.ckpt";
-        std::string bytes = readFile(path);
+        std::string bytes = bench::readFile(path);
         if (bytes.size() > 64) {
             for (size_t i = bytes.size() / 2;
                  i < bytes.size() / 2 + 16 && i < bytes.size(); ++i)
@@ -132,11 +72,11 @@ main()
                      static_cast<std::streamsize>(bytes.size()));
         }
     }
-    t0 = now();
-    serve::TuningService recovered(serviceOptions(drill_dir, sessions));
+    t0 = bench::now();
+    serve::TuningService recovered(bench::serviceOptions(drill_dir, sessions));
     const auto report = recovered.recover(fleet);
     const int64_t recovery_ticks = recovered.runUntilIdle();
-    const double recovery_seconds = now() - t0;
+    const double recovery_seconds = bench::now() - t0;
     std::printf("recovered: %d resumed / %d quarantined / %d fresh, "
                 "%lld rounds salvaged, %lld ticks to finish, %.2fs "
                 "wall\n",
@@ -153,9 +93,9 @@ main()
     bool curves_identical = true;
     for (const auto &spec : fleet) {
         const std::string golden_curve =
-            readFile(golden.curvePath(spec.name));
+            bench::readFile(golden.curvePath(spec.name));
         const std::string drill_curve =
-            readFile(recovered.curvePath(spec.name));
+            bench::readFile(recovered.curvePath(spec.name));
         if (golden_curve.empty() || golden_curve != drill_curve) {
             curves_identical = false;
             std::printf("CURVE MISMATCH: %s\n", spec.name.c_str());

@@ -82,10 +82,6 @@ main(int argc, char **argv)
     args.addInt("threads", 0,
                 "worker threads for kernels/features "
                 "(0 = TLP_NUM_THREADS env, default 1)");
-    args.addBool("legacy-infer", false,
-                 "score with the interpreted TLP forward and no feature "
-                 "cache (same curves, slower; overrides TLP_FUSED_INFER "
-                 "/ TLP_FEATURE_CACHE)");
     args.addBool("verbose", false, "per-tick service log");
     args.parse(argc, argv);
 
@@ -130,8 +126,6 @@ main(int argc, char **argv)
         static_cast<int>(args.getInt("poison-after"));
     options.breaker_trip_limit =
         static_cast<int>(args.getInt("breaker-limit"));
-    if (args.getBool("legacy-infer"))
-        options.tlp_infer = model::TlpInferOptions::legacy();
     options.verbose = args.getBool("verbose");
     serve::TuningService service(options);
 

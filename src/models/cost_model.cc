@@ -5,7 +5,6 @@
 
 #include "features/ansor_features.h"
 #include "schedule/lower.h"
-#include "support/config.h"
 #include "support/rng.h"
 #include "support/thread_pool.h"
 
@@ -70,40 +69,36 @@ ansorFeaturesOf(const std::vector<sched::State> &states)
 
 } // namespace
 
-TlpInferOptions
-TlpInferOptions::fromEnv()
+std::vector<double>
+interpretedTlpScores(TlpNet &net, const float *rows, int64_t n, int task)
 {
-    TlpInferOptions options;
-    options.fused =
-        static_cast<int64_t>(envOr("TLP_FUSED_INFER", 1.0)) != 0;
-    options.cache_capacity = static_cast<int64_t>(
-        envOr("TLP_FEATURE_CACHE",
-              static_cast<double>(options.cache_capacity)));
-    if (options.cache_capacity < 0)
-        options.cache_capacity = 0;
-    return options;
+    const int dim = net.config().seq_len * net.config().emb_size;
+    auto set = featureOnlySet(
+        std::vector<float>(rows, rows + n * dim), static_cast<int>(n), dim);
+    // One forward over the whole set (split only beyond the
+    // activation-memory cap), instead of per-candidate forwards.
+    return predictTlpNet(net, set, task,
+                         std::min(set.rows, kMaxForwardBatch));
 }
 
 TlpCostModel::TlpCostModel(std::shared_ptr<TlpNet> net,
                            feat::TlpFeatureOptions feature_options,
-                           int head_task, TlpInferOptions infer_options)
+                           int head_task, int64_t cache_capacity)
     : net_(std::move(net)), feature_options_(feature_options),
-      head_task_(head_task), infer_options_(infer_options)
+      head_task_(head_task)
 {
     TLP_CHECK(net_ != nullptr, "null TLP net");
     feature_options_.seq_len = net_->config().seq_len;
     feature_options_.emb_size = net_->config().emb_size;
     params_ = net_->parameters();
-    if (infer_options_.fused && !net_->config().lstm_backbone) {
+    if (!net_->config().lstm_backbone) {
         fused_ = std::make_unique<FusedTlpInference>(net_);
         packed_epoch_ = paramsFingerprint();
     }
-    if (infer_options_.cache_capacity > 0) {
-        cache_ = std::make_unique<FeatureCache>(
-            static_cast<int64_t>(feature_options_.seq_len) *
-                feature_options_.emb_size,
-            infer_options_.cache_capacity);
-    }
+    cache_ = std::make_unique<FeatureCache>(
+        static_cast<int64_t>(feature_options_.seq_len) *
+            feature_options_.emb_size,
+        cache_capacity);
 }
 
 std::vector<double>
@@ -133,20 +128,7 @@ TlpCostModel::paramsFingerprint() const
 FeatureCache::Stats
 TlpCostModel::cacheStats() const
 {
-    return cache_ ? cache_->stats() : FeatureCache::Stats{};
-}
-
-std::vector<double>
-TlpCostModel::interpretedForward(const std::vector<float> &features,
-                                 int rows)
-{
-    const int dim =
-        feature_options_.seq_len * feature_options_.emb_size;
-    auto set = featureOnlySet(features, rows, dim);
-    // One forward over the whole pending set (split only beyond the
-    // activation-memory cap), instead of per-candidate forwards.
-    return predictTlpNet(*net_, set, head_task_,
-                         std::min(set.rows, kMaxForwardBatch));
+    return cache_->stats();
 }
 
 std::vector<double>
@@ -162,36 +144,13 @@ TlpCostModel::predictBatch(int task_id,
 
     // Stale-weight guard: score memos are keyed by this fingerprint and
     // the packed fused weights are refreshed when it moves.
-    const uint64_t epoch =
-        (cache_ || fused_) ? paramsFingerprint() : 0;
+    const uint64_t epoch = paramsFingerprint();
     if (fused_ && epoch != packed_epoch_) {
         fused_->repack();
         packed_epoch_ = epoch;
     }
 
-    if (!cache_) {
-        // No cache: extract every row (parallel; extractTlpFeaturesInto
-        // reads only the PrimitiveSeq and each candidate owns a
-        // disjoint row) and forward the whole population.
-        batch_.resize(states.size() * dim);
-        ThreadPool::global().parallelFor(
-            0, n, 1, [&](int64_t begin, int64_t end) {
-                for (int64_t i = begin; i < end; ++i) {
-                    feat::extractTlpFeaturesInto(
-                        states[static_cast<size_t>(i)].steps(),
-                        feature_options_,
-                        batch_.data() + static_cast<size_t>(i) * dim);
-                }
-            });
-        if (fused_) {
-            fused_->predict(batch_.data(), n, head_task_,
-                            scores.data());
-            return scores;
-        }
-        return interpretedForward(batch_, static_cast<int>(n));
-    }
-
-    // Cached path. Pass 1 (parallel): hash every candidate's sequence.
+    // Pass 1 (parallel): hash every candidate's sequence.
     keys_.resize(states.size());
     ThreadPool::global().parallelFor(
         0, n, 1, [&](int64_t begin, int64_t end) {
@@ -285,8 +244,8 @@ TlpCostModel::predictBatch(int task_id,
         fused_->predict(batch_.data(), pending, head_task_,
                         forward_scores_.data());
     } else {
-        forward_scores_ =
-            interpretedForward(batch_, static_cast<int>(pending));
+        forward_scores_ = interpretedTlpScores(*net_, batch_.data(),
+                                               pending, head_task_);
     }
     for (int64_t p = 0; p < pending; ++p) {
         const double score = forward_scores_[static_cast<size_t>(p)];

@@ -30,31 +30,14 @@
 namespace tlp::model {
 
 /**
- * Inference hot-path configuration of TlpCostModel (DESIGN.md §13).
- * Both accelerators are value-neutral: any combination of flags
- * predicts bit-identically; they only change speed. Defaults come from
- * the environment so every entry point (tuner, service, benches) picks
- * them up uniformly.
+ * The interpreted TLP forward: scores of @p n feature rows
+ * (seq_len * emb_size floats each, from feat::extractTlpFeatures) on
+ * head @p task through the autograd graph. TlpCostModel scores LSTM
+ * backbones this way; for every other net it is the oracle the fused
+ * forward and the cache must match bit for bit (DESIGN.md §13).
  */
-struct TlpInferOptions
-{
-    /** Use the packed fused forward (FusedTlpInference) instead of the
-     *  interpreted autograd forward. Ignored for LSTM backbones. */
-    bool fused = true;
-    /** Feature/score cache entries; 0 disables the cache entirely. */
-    int64_t cache_capacity = 4096;
-
-    /** TLP_FUSED_INFER (0 disables) and TLP_FEATURE_CACHE (entry
-     *  count; 0 disables) override the defaults above. */
-    static TlpInferOptions fromEnv();
-
-    /** Both accelerators off — the pre-§13 interpreted path. */
-    static TlpInferOptions
-    legacy()
-    {
-        return {false, 0};
-    }
-};
+std::vector<double> interpretedTlpScores(TlpNet &net, const float *rows,
+                                         int64_t n, int task = 0);
 
 /** Abstract cost model used by the search loop. */
 class CostModel
@@ -104,14 +87,23 @@ class CostModel
     virtual void deserializeState(BinaryReader &reader) {}
 };
 
-/** TLP / MTL-TLP cost model (offline-pretrained). */
+/**
+ * TLP / MTL-TLP cost model (offline-pretrained). Scores through the
+ * fused forward (FusedTlpInference; the interpreted forward for LSTM
+ * backbones) behind the feature/score cache (DESIGN.md §13).
+ */
 class TlpCostModel : public CostModel
 {
   public:
+    /** Feature/score cache entries of a default-built model. */
+    static constexpr int64_t kDefaultCacheCapacity = 4096;
+
+    /** @p cache_capacity must be > 0 (FeatureCache checks it); only
+     *  tests shrink it, to drive eviction and bypass. */
     TlpCostModel(std::shared_ptr<TlpNet> net,
                  feat::TlpFeatureOptions feature_options = {},
                  int head_task = 0,
-                 TlpInferOptions infer_options = TlpInferOptions::fromEnv());
+                 int64_t cache_capacity = kDefaultCacheCapacity);
 
     std::string name() const override { return "tlp"; }
     std::vector<double>
@@ -122,25 +114,21 @@ class TlpCostModel : public CostModel
         override;
     bool needsLowering() const override { return false; }
 
-    /** Cache accounting (zeros when the cache is disabled). */
+    /** Cache accounting. */
     FeatureCache::Stats cacheStats() const;
 
   private:
     /** Content fingerprint of every net parameter: stale-score guard. */
     uint64_t paramsFingerprint() const;
 
-    std::vector<double>
-    interpretedForward(const std::vector<float> &features, int rows);
-
     std::shared_ptr<TlpNet> net_;
     feat::TlpFeatureOptions feature_options_;
     int head_task_;
-    TlpInferOptions infer_options_;
     /** The net's parameter handles, gathered once: Tensors share their
      *  node, so value() always reads the live weights, and the per-call
      *  fingerprint walk stays allocation-free. */
     std::vector<nn::Tensor> params_;
-    std::unique_ptr<FusedTlpInference> fused_;
+    std::unique_ptr<FusedTlpInference> fused_;   ///< null for LSTM nets
     std::unique_ptr<FeatureCache> cache_;
     uint64_t packed_epoch_ = 0;   ///< fingerprint fused_ was packed at
     // Reused per-call scratch (capacity is retained across calls, so

@@ -191,9 +191,7 @@ TuningService::instantiate(Slot &slot)
       case ModelKind::GuardedTlp:
         if (tlp_net_) {
             slot.base_model = model::makeGuardedLadder(
-                std::make_shared<model::TlpCostModel>(
-                    tlp_net_, feat::TlpFeatureOptions{}, 0,
-                    options_.tlp_infer));
+                std::make_shared<model::TlpCostModel>(tlp_net_));
         } else {
             // No snapshot installed (yet): degrade to the ansor-topped
             // ladder rather than refusing the session.

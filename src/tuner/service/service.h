@@ -191,10 +191,6 @@ struct ServiceOptions
      */
     int breaker_trip_limit = 12;
     ServiceFaultProfile faults;
-    /** Inference hot-path configuration handed to every GuardedTlp
-     *  session's TlpCostModel (DESIGN.md §13). Value-neutral: any
-     *  setting yields the same curves, only a different speed. */
-    model::TlpInferOptions tlp_infer = model::TlpInferOptions::fromEnv();
     bool verbose = false;
 };
 

@@ -33,6 +33,24 @@ if(NOT user_error_output MATCHES "--threads")
             "offending flag. stderr: ${user_error_output}")
 endif()
 
+# --- a removed flag is an unknown flag: exit 2, naming it --------------
+
+execute_process(
+    COMMAND "${TUNE_WORKLOAD}" --legacy-infer
+    RESULT_VARIABLE removed_flag_code
+    OUTPUT_QUIET ERROR_VARIABLE removed_flag_output)
+if(NOT removed_flag_code EQUAL 2)
+    message(FATAL_ERROR
+            "tune_workload --legacy-infer: expected exit 2 (unknown "
+            "flag), got '${removed_flag_code}'. stderr: "
+            "${removed_flag_output}")
+endif()
+if(NOT removed_flag_output MATCHES "unknown flag --legacy-infer")
+    message(FATAL_ERROR
+            "tune_workload --legacy-infer: fatal message does not name "
+            "the unknown flag. stderr: ${removed_flag_output}")
+endif()
+
 # --- corrupt artifact must exit 3, with a Status-shaped message ---------
 
 set(garbage "${WORK_DIR}/cli_smoke_garbage.bin")

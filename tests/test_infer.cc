@@ -3,8 +3,8 @@
  * Tests for the inference hot path (DESIGN.md §13): the Arena scratch
  * allocator, the in-place feature extractor, the fused forward, and the
  * primitive-seq feature/score cache. The load-bearing claim everywhere
- * is bit-identity — fused or interpreted, cached or cold, the model
- * must predict the exact same bits.
+ * is bit-identity: at any cache capacity, cold or warm, TlpCostModel
+ * must predict the exact bits of the interpreted oracle.
  */
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include <limits>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "features/tlp_features.h"
 #include "ir/model_zoo.h"
 #include "ir/partition.h"
@@ -155,13 +156,17 @@ makeNet(const model::TlpNetConfig &config, uint64_t seed = 7)
     return std::make_shared<model::TlpNet>(config, rng);
 }
 
-/** predictBatch through a model built with @p options. */
+/** Cache capacities every equivalence check runs at: the default, one
+ *  that fits the populations, and one that evicts and bypasses. */
+constexpr int64_t kCapacities[] = {
+    model::TlpCostModel::kDefaultCacheCapacity, 64, 4};
+
+/** predictBatch through a fresh model with @p capacity cache entries. */
 std::vector<double>
-scoresWith(std::shared_ptr<model::TlpNet> net,
-           const model::TlpInferOptions &options,
-           const std::vector<sched::State> &states, int task = 0)
+modelScores(std::shared_ptr<model::TlpNet> net, int64_t capacity,
+            const std::vector<sched::State> &states, int task = 0)
 {
-    model::TlpCostModel cost_model(std::move(net), {}, task, options);
+    model::TlpCostModel cost_model(std::move(net), {}, task, capacity);
     return cost_model.predictBatch(task, states);
 }
 
@@ -176,11 +181,11 @@ TEST(FusedInfer, MatchesInterpretedBitForBit)
     for (int n : {1, 5, 16, 33}) {
         const auto states = samplePopulation(n, 43);
         ASSERT_FALSE(states.empty());
-        const auto legacy =
-            scoresWith(net, model::TlpInferOptions::legacy(), states);
-        const auto fused =
-            scoresWith(net, model::TlpInferOptions{true, 0}, states);
-        EXPECT_EQ(legacy, fused) << "rows=" << n;
+        const auto oracle = bench::oracleTlpScores(*net, states);
+        for (int64_t capacity : kCapacities) {
+            EXPECT_EQ(oracle, modelScores(net, capacity, states))
+                << "rows=" << n << " capacity=" << capacity;
+        }
     }
 }
 
@@ -200,31 +205,31 @@ TEST(FusedInfer, MatchesInterpretedAcrossConfigs)
     for (const auto &config : configs) {
         auto net = makeNet(config, 11);
         for (int task = 0; task < config.num_tasks; ++task) {
-            const auto legacy = scoresWith(
-                net, model::TlpInferOptions::legacy(), states, task);
-            const auto fused = scoresWith(
-                net, model::TlpInferOptions{true, 0}, states, task);
-            EXPECT_EQ(legacy, fused)
-                << "hidden=" << config.hidden << " task=" << task;
+            const auto oracle = bench::oracleTlpScores(*net, states, task);
+            for (int64_t capacity : kCapacities) {
+                EXPECT_EQ(oracle,
+                          modelScores(net, capacity, states, task))
+                    << "hidden=" << config.hidden << " task=" << task
+                    << " capacity=" << capacity;
+            }
         }
     }
 }
 
-TEST(FusedInfer, AllOptionCombinationsAgree)
+TEST(FusedInfer, AllCacheCapacitiesMatchOracle)
 {
     model::TlpNetConfig config;
     config.hidden = 32;
     config.heads = 4;
     auto net = makeNet(config);
     const auto states = samplePopulation(24, 45);
-    const auto baseline =
-        scoresWith(net, model::TlpInferOptions::legacy(), states);
-    EXPECT_EQ(baseline,
-              scoresWith(net, model::TlpInferOptions{false, 64}, states));
-    EXPECT_EQ(baseline,
-              scoresWith(net, model::TlpInferOptions{true, 0}, states));
-    EXPECT_EQ(baseline,
-              scoresWith(net, model::TlpInferOptions{true, 64}, states));
+    const auto oracle = bench::oracleTlpScores(*net, states);
+    for (int64_t capacity : kCapacities) {
+        // Cold, then warm (score memos, or evictions at capacity 4).
+        model::TlpCostModel cost_model(net, {}, 0, capacity);
+        EXPECT_EQ(oracle, cost_model.predictBatch(0, states)) << capacity;
+        EXPECT_EQ(oracle, cost_model.predictBatch(0, states)) << capacity;
+    }
 }
 
 /**
@@ -384,24 +389,20 @@ TEST(FusedInfer, LstmBackboneFallsBackToInterpreted)
     config.lstm_backbone = true;
     auto net = makeNet(config);
     const auto states = samplePopulation(6, 46);
-    // fused=true must silently use the interpreted path (and still may
-    // cache): identical scores, no crash.
-    const auto legacy =
-        scoresWith(net, model::TlpInferOptions::legacy(), states);
-    EXPECT_EQ(legacy,
-              scoresWith(net, model::TlpInferOptions{true, 64}, states));
+    // An LSTM net has no fused forward: TlpCostModel scores it through
+    // the interpreted forward behind the cache, so it equals the oracle.
+    const auto oracle = bench::oracleTlpScores(*net, states);
+    for (int64_t capacity : kCapacities)
+        EXPECT_EQ(oracle, modelScores(net, capacity, states)) << capacity;
 }
 
-TEST(FeatureCache, InterleavedGenerationsMatchUncached)
+TEST(FeatureCache, InterleavedGenerationsMatchOracle)
 {
     model::TlpNetConfig config;
     config.hidden = 32;
     config.heads = 4;
     auto net = makeNet(config);
-    model::TlpCostModel cached(net, {}, 0,
-                               model::TlpInferOptions{true, 256});
-    model::TlpCostModel uncached(net, {}, 0,
-                                 model::TlpInferOptions{true, 0});
+    model::TlpCostModel cached(net, {}, 0, 256);
 
     // Evolution-shaped workload: each generation keeps survivors from
     // the previous one (score-memo hits), mutates some (fresh rows), and
@@ -418,9 +419,9 @@ TEST(FeatureCache, InterleavedGenerationsMatchUncached)
         std::vector<sched::State> batch = population;
         batch.push_back(population[0]);
         batch.push_back(population[population.size() / 2]);
-        const auto hot = cached.predictBatch(0, batch);
-        const auto cold = uncached.predictBatch(0, batch);
-        ASSERT_EQ(hot, cold) << "generation " << generation;
+        ASSERT_EQ(cached.predictBatch(0, batch),
+                  bench::oracleTlpScores(*net, batch))
+            << "generation " << generation;
         // Survivors + mutants for the next round.
         std::vector<sched::State> next(population.begin(),
                                        population.begin() +
@@ -434,7 +435,6 @@ TEST(FeatureCache, InterleavedGenerationsMatchUncached)
     const auto stats = cached.cacheStats();
     EXPECT_GT(stats.score_hits, 0u);     // survivors + in-batch dups
     EXPECT_GT(stats.misses, 0u);         // fresh mutants
-    EXPECT_EQ(uncached.cacheStats().score_hits, 0u);
 }
 
 TEST(FeatureCache, TinyCapacityEvictsButNeverChangesScores)
@@ -443,11 +443,10 @@ TEST(FeatureCache, TinyCapacityEvictsButNeverChangesScores)
     config.hidden = 32;
     config.heads = 4;
     auto net = makeNet(config);
-    model::TlpCostModel tiny(net, {}, 0, model::TlpInferOptions{true, 4});
+    model::TlpCostModel tiny(net, {}, 0, 4);
     const auto states = samplePopulation(32, 48);
     ASSERT_GT(states.size(), 4u);
-    const auto baseline =
-        scoresWith(net, model::TlpInferOptions::legacy(), states);
+    const auto baseline = bench::oracleTlpScores(*net, states);
     // Thrash the 4-entry cache repeatedly; every pass must match.
     for (int pass = 0; pass < 3; ++pass)
         EXPECT_EQ(tiny.predictBatch(0, states), baseline) << pass;
@@ -460,8 +459,7 @@ TEST(FeatureCache, ScoreMemosInvalidateWhenParametersChange)
     config.hidden = 32;
     config.heads = 4;
     auto net = makeNet(config);
-    model::TlpCostModel cached(net, {}, 0,
-                               model::TlpInferOptions{true, 256});
+    model::TlpCostModel cached(net, {}, 0, 256);
     const auto states = samplePopulation(12, 49);
     const auto before = cached.predictBatch(0, states);
     EXPECT_EQ(before, cached.predictBatch(0, states));
@@ -470,9 +468,7 @@ TEST(FeatureCache, ScoreMemosInvalidateWhenParametersChange)
     // does; this bias shifts every score, so the change must show.
     net->parameters().back().value()[0] += 0.25f;
     const auto after = cached.predictBatch(0, states);
-    const auto fresh =
-        scoresWith(net, model::TlpInferOptions::legacy(), states);
-    EXPECT_EQ(after, fresh);
+    EXPECT_EQ(after, bench::oracleTlpScores(*net, states));
     EXPECT_NE(after, before);
 }
 

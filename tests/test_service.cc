@@ -376,12 +376,11 @@ TEST(Service, SnapshotHotSwapProbesHealth)
 
 TEST(Service, InferenceHotPathNeverPerturbsCurves)
 {
-    // DESIGN.md §13: the fused forward and the feature/score cache are
-    // pure accelerators. A guarded-tlp fleet must produce byte-identical
-    // curve files with them on or off — including when the accelerated
-    // fleet is killed mid-run and recovered from checkpoints (a
-    // recovered session restarts with a cold cache, which may only
-    // change speed, never values).
+    // DESIGN.md §13: the feature/score cache is a pure accelerator. A
+    // guarded-tlp fleet killed mid-run and recovered from checkpoints
+    // must write the curve files of an uninterrupted fleet byte for
+    // byte — a recovered session restarts with a cold cache, which may
+    // only change speed, never values.
     auto fleet = quickFleet(4);
     for (SessionSpec &spec : fleet) {
         spec.model = ModelKind::GuardedTlp;
@@ -397,13 +396,11 @@ TEST(Service, InferenceHotPathNeverPerturbsCurves)
     fs::create_directories(fs::path(snap).parent_path());
     ASSERT_TRUE(model::saveTlpSnapshot(snap, net).ok());
 
-    // Golden: legacy inference (interpreted forward, no cache).
-    const std::string legacy_dir = scratchDir("infer_legacy");
+    // Golden: an uninterrupted fleet.
+    const std::string golden_dir = scratchDir("infer_golden");
     std::vector<tune::TuneResult> golden;
     {
-        ServiceOptions options = quickService(legacy_dir, 4);
-        options.tlp_infer = model::TlpInferOptions::legacy();
-        TuningService service(options);
+        TuningService service(quickService(golden_dir, 4));
         ASSERT_TRUE(service.swapModel(snap).ok());
         service.recover(fleet);
         service.runUntilIdle();
@@ -412,10 +409,9 @@ TEST(Service, InferenceHotPathNeverPerturbsCurves)
             golden.push_back(service.result(spec.name));
     }
 
-    // Accelerated: fused + cached, killed twice and recovered.
+    // The same fleet, killed twice and recovered.
     const std::string fast_dir = scratchDir("infer_fast");
-    ServiceOptions fast_options = quickService(fast_dir, 4);
-    fast_options.tlp_infer = model::TlpInferOptions{true, 512};
+    const ServiceOptions fast_options = quickService(fast_dir, 4);
     for (int64_t kill_ticks : {7, 5}) {
         TuningService service(fast_options);
         ASSERT_TRUE(service.swapModel(snap).ok());
@@ -434,7 +430,7 @@ TEST(Service, InferenceHotPathNeverPerturbsCurves)
         const std::string &name = fleet[i].name;
         ASSERT_EQ(service.status(name), SessionStatus::Finished);
         expectSameCurve(golden[i], service.result(name), name);
-        EXPECT_EQ(readFile(legacy_dir + "/" + name + ".curve"),
+        EXPECT_EQ(readFile(golden_dir + "/" + name + ".curve"),
                   readFile(fast_dir + "/" + name + ".curve"))
             << name;
     }

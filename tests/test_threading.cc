@@ -13,6 +13,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "ir/model_zoo.h"
 #include "ir/partition.h"
 #include "models/cost_model.h"
@@ -289,9 +290,9 @@ TEST(BitIdentical, PredictBatchMatchesScoreStatesAtAnyThreadCount)
 
 TEST(BitIdentical, FusedAndCachedInferenceAtAnyThreadCount)
 {
-    // The §13 hot path: every (fused, cache) combination must predict
-    // the interpreted single-thread bits at any thread count — with the
-    // cache warm (second call) as well as cold.
+    // The §13 hot path: TlpCostModel at every cache capacity must
+    // predict the interpreted oracle's bits at any thread count — with
+    // the cache warm (second call) as well as cold.
     const ir::Workload workload =
         ir::partitionGraph(ir::buildNetwork("mlp-mixer"));
     Rng rng(110);
@@ -316,24 +317,19 @@ TEST(BitIdentical, FusedAndCachedInferenceAtAnyThreadCount)
         for (const auto *population :
              std::initializer_list<const std::vector<sched::State> *>{
                  &states, &repeated}) {
-            const size_t first = out.size();
-            for (const auto &options :
-                 {model::TlpInferOptions::legacy(),
-                  model::TlpInferOptions{true, 0},
-                  model::TlpInferOptions{false, 256},
-                  model::TlpInferOptions{true, 256}}) {
-                model::TlpCostModel cost_model(net, {}, 0, options);
-                const auto cold = cost_model.predictBatch(0, *population);
-                const auto warm = cost_model.predictBatch(0, *population);
-                EXPECT_EQ(cold, warm);
-                std::vector<float> row;
-                for (double s : cold)
-                    row.push_back(static_cast<float>(s));
-                out.push_back(std::move(row));
+            const auto oracle = bench::oracleTlpScores(*net, *population);
+            for (int64_t capacity :
+                 {model::TlpCostModel::kDefaultCacheCapacity,
+                  int64_t{64}, int64_t{4}}) {
+                model::TlpCostModel cost_model(net, {}, 0, capacity);
+                // Cold, then warm: both equal the oracle...
+                EXPECT_EQ(oracle, cost_model.predictBatch(0, *population));
+                EXPECT_EQ(oracle, cost_model.predictBatch(0, *population));
             }
-            // All four option combinations agree with each other...
-            for (size_t i = first + 1; i < out.size(); ++i)
-                EXPECT_EQ(out[first], out[i]);
+            std::vector<float> row;
+            for (double s : oracle)
+                row.push_back(static_cast<float>(s));
+            out.push_back(std::move(row));
         }
         return out;
     });
