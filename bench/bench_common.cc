@@ -158,8 +158,8 @@ standardDataset(const std::vector<std::string> &platforms, bool is_gpu)
     // Regeneration is also the moment to reap temp files a crashed
     // bench stranded next to this memo (scoped to this artifact: /tmp
     // is shared, a directory-wide sweep could race live writers) —
-    // through the audit module, the same debris policy tlp_fsck runs.
-    artifact::sweepDebrisFor(path);
+    // with the same temp-name classifier tlp_fsck's audit uses.
+    sweepStaleTempsFor(path);
     data::Dataset dataset = data::collectDataset(options);
     const Status status = writeBenchMemo(path, fingerprint, dataset);
     if (!status.ok()) {

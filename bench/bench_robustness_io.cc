@@ -16,7 +16,8 @@
  * recovered fleet's curve files stay byte-identical while checkpoint
  * persistence degrades gracefully (retry, then checkpointless mode).
  *
- * Emits BENCH_io_chaos.json; exits nonzero on any violation.
+ * Emits BENCH_io_chaos.json; exits nonzero on any violation, on any
+ * curve drift, or when no chaos session reached checkpointless mode.
  */
 #include <cstdio>
 #include <cstring>
@@ -319,20 +320,24 @@ main()
     chaos.seed = 0xd15c;
     chaos.crash_debris = true;
 
-    const std::string chaos_dir = "io_chaos";
+    // A session degrades after ckpt_retry_limit + 1 consecutive failed
+    // checkpoint writes. A fleet this short rarely fails four in a row,
+    // the default limit of 3, so the drill allows one retry: the fleet
+    // then exercises both the retry and the checkpointless mode.
+    serve::ServiceOptions chaos_options =
+        bench::serviceOptions("io_chaos", sessions);
+    chaos_options.ckpt_retry_limit = 1;
     const double t1 = bench::now();
     serve::RecoveryReport report;
     {
         ScopedIoFaults scope(chaos);
-        serve::TuningService victim(
-            bench::serviceOptions(chaos_dir, sessions));
+        serve::TuningService victim(chaos_options);
         victim.recover(fleet);
         victim.runUntilIdle(kill_tick);
         // destroyed here: the "kill -9", with fault debris on disk
     }
     ScopedIoFaults scope(chaos);
-    serve::TuningService recovered(
-        bench::serviceOptions(chaos_dir, sessions));
+    serve::TuningService recovered(chaos_options);
     report = recovered.recover(fleet);
     recovered.runUntilIdle();
     const double chaos_seconds = bench::now() - t1;
@@ -367,6 +372,9 @@ main()
                 static_cast<long long>(stats.curve_write_retries));
     std::printf("  curves identical to golden: %s\n",
                 curves_identical ? "yes" : "NO (BUG)");
+    const bool degraded = stats.checkpointless_sessions > 0;
+    if (!degraded)
+        std::printf("  NO session reached checkpointless mode (BUG)\n");
 
     FILE *json = std::fopen("BENCH_io_chaos.json", "w");
     if (!json) {
@@ -410,5 +418,5 @@ main()
     std::fprintf(json, "}\n");
     std::fclose(json);
     std::printf("wrote BENCH_io_chaos.json\n");
-    return violations == 0 && curves_identical ? 0 : 1;
+    return violations == 0 && curves_identical && degraded ? 0 : 1;
 }

@@ -70,8 +70,7 @@ main(int argc, char **argv)
                 "poison-quarantined (0 = breaker disabled)");
     args.addDouble("io-fault-rate", 0.0,
                    "seeded artifact I/O fault rate in [0, 1): torn/"
-                   "failed writes and failed reads (DESIGN.md §14; "
-                   "overrides TLP_IO_FAULT_RATE)");
+                   "failed writes and failed reads (DESIGN.md §14)");
     args.addInt("io-fault-seed", 0xd15c,
                 "seed for the I/O fault schedule");
     args.addInt("ticks", 0,

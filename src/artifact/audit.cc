@@ -339,18 +339,6 @@ quarantineDamaged(const std::string &path, int max_generations)
     return action;
 }
 
-int
-sweepDebris(const std::string &dir)
-{
-    return sweepStaleTemps(dir);
-}
-
-int
-sweepDebrisFor(const std::string &artifact_path)
-{
-    return sweepStaleTempsFor(artifact_path);
-}
-
 RepairReport
 repairDirectory(const std::string &dir, const RepairOptions &options)
 {
@@ -364,7 +352,7 @@ repairDirectory(const std::string &dir, const RepairOptions &options)
         if (record.state == ArtifactState::StaleTemp)
             out.actions.push_back("sweep " + record.name);
     }
-    out.swept = sweepDebris(dir);
+    out.swept = sweepStaleTemps(dir);
 
     for (const ArtifactRecord &record : audit.records) {
         if (record.state != ArtifactState::Corrupt &&

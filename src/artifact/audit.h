@@ -204,12 +204,4 @@ QuarantineAction
 quarantineDamaged(const std::string &path,
                   int max_generations = kQuarantineMaxGenerations);
 
-/** Sweep "<name>.tmp.<pid>.<seq>" debris directly under @p dir (the
- *  io_env sweeper, re-exported so audit callers need one header). */
-int sweepDebris(const std::string &dir);
-
-/** Sweep debris of one artifact only — safe in shared directories
- *  like /tmp where a directory-wide sweep could race live writers. */
-int sweepDebrisFor(const std::string &artifact_path);
-
 } // namespace tlp::artifact

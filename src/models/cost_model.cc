@@ -1,7 +1,6 @@
 #include "models/cost_model.h"
 
 #include <cmath>
-#include <cstring>
 
 #include "features/ansor_features.h"
 #include "schedule/lower.h"
@@ -95,10 +94,7 @@ TlpCostModel::TlpCostModel(std::shared_ptr<TlpNet> net,
         fused_ = std::make_unique<FusedTlpInference>(net_);
         packed_epoch_ = paramsFingerprint();
     }
-    cache_ = std::make_unique<FeatureCache>(
-        static_cast<int64_t>(feature_options_.seq_len) *
-            feature_options_.emb_size,
-        cache_capacity);
+    cache_ = std::make_unique<FeatureCache>(cache_capacity);
 }
 
 std::vector<double>
@@ -159,86 +155,36 @@ TlpCostModel::predictBatch(int task_id,
                     states[static_cast<size_t>(i)].steps());
         });
 
-    // Pass 2 (serial): classify against the cache. Score memos resolve
-    // immediately; everything else joins the pending forward set. A
-    // batch reads its referenced slots only after classification, so an
-    // insert must never evict a slot an earlier candidate of this batch
-    // still points at — when the FIFO victim is claimed, the candidate
-    // bypasses the cache (slot -1: extracted straight into the batch
-    // buffer, never memoized).
+    // Pass 2 (serial): score memos resolve immediately; every miss
+    // joins the pending forward set.
     pending_state_.clear();
-    pending_slot_.clear();
-    pending_fresh_.clear();
-    claimed_.assign(static_cast<size_t>(cache_->capacity()), 0);
     for (int64_t i = 0; i < n; ++i) {
-        int64_t slot = cache_->find(keys_[static_cast<size_t>(i)]);
-        bool fresh = false;
-        if (slot < 0) {
-            fresh = true;
-            if (cache_->full() &&
-                claimed_[static_cast<size_t>(cache_->nextVictim())]) {
-                cache_->noteBypass();
-                slot = -1;
-            } else {
-                slot = cache_->insert(keys_[static_cast<size_t>(i)]);
-            }
-        } else if (cache_->scoreAt(slot, head_task_, epoch,
-                                   &scores[static_cast<size_t>(i)])) {
-            cache_->noteScoreHit();
-            continue;
-        } else {
-            cache_->noteFeatureHit();
-        }
-        if (slot >= 0)
-            claimed_[static_cast<size_t>(slot)] = 1;
-        pending_state_.push_back(i);
-        pending_slot_.push_back(slot);
-        pending_fresh_.push_back(fresh ? 1 : 0);
+        if (!cache_->lookup(keys_[static_cast<size_t>(i)], epoch,
+                            &scores[static_cast<size_t>(i)]))
+            pending_state_.push_back(i);
     }
     const auto pending = static_cast<int64_t>(pending_state_.size());
     if (pending == 0)
         return scores;
 
-    // Pass 3 (parallel): extract the fresh rows — into their cache slot,
-    // or directly into the batch buffer for bypassed candidates. A
-    // duplicated candidate elsewhere in `states` maps to the same slot
-    // as a feature hit, so row fills must complete before any slot is
-    // read — hence the separate gather pass below.
+    // Pass 3 (parallel): extract the pending rows straight into the
+    // batch buffer (each candidate writes a disjoint row).
     batch_.resize(static_cast<size_t>(pending) * dim);
     ThreadPool::global().parallelFor(
         0, pending, 1, [&](int64_t begin, int64_t end) {
             for (int64_t p = begin; p < end; ++p) {
-                if (!pending_fresh_[static_cast<size_t>(p)])
-                    continue;
-                const int64_t slot =
-                    pending_slot_[static_cast<size_t>(p)];
                 feat::extractTlpFeaturesInto(
                     states[static_cast<size_t>(
                                pending_state_[static_cast<size_t>(p)])]
                         .steps(),
                     feature_options_,
-                    slot >= 0
-                        ? cache_->rowAt(slot)
-                        : batch_.data() + static_cast<size_t>(p) * dim);
-            }
-        });
-
-    // Pass 4 (parallel): gather cached pending rows into the batch.
-    ThreadPool::global().parallelFor(
-        0, pending, 1, [&](int64_t begin, int64_t end) {
-            for (int64_t p = begin; p < end; ++p) {
-                const int64_t slot =
-                    pending_slot_[static_cast<size_t>(p)];
-                if (slot < 0)
-                    continue;
-                std::memcpy(batch_.data() + static_cast<size_t>(p) * dim,
-                            cache_->rowAt(slot), dim * sizeof(float));
+                    batch_.data() + static_cast<size_t>(p) * dim);
             }
         });
 
     // Forward the pending subset. Rows are independent through the
     // whole net, so scoring the subset equals scoring it inside the
-    // full population — which is why cache hits cannot change bits.
+    // full population — which is why memo hits cannot change bits.
     if (fused_) {
         forward_scores_.resize(static_cast<size_t>(pending));
         fused_->predict(batch_.data(), pending, head_task_,
@@ -247,13 +193,14 @@ TlpCostModel::predictBatch(int task_id,
         forward_scores_ = interpretedTlpScores(*net_, batch_.data(),
                                                pending, head_task_);
     }
+    // Memoize in candidate order; an in-batch duplicate missed twice
+    // and its second store refreshes the same entry.
     for (int64_t p = 0; p < pending; ++p) {
         const double score = forward_scores_[static_cast<size_t>(p)];
-        scores[static_cast<size_t>(
-            pending_state_[static_cast<size_t>(p)])] = score;
-        if (pending_slot_[static_cast<size_t>(p)] >= 0)
-            cache_->storeScore(pending_slot_[static_cast<size_t>(p)],
-                               head_task_, epoch, score);
+        const auto i =
+            static_cast<size_t>(pending_state_[static_cast<size_t>(p)]);
+        scores[i] = score;
+        cache_->store(keys_[i], epoch, score);
     }
     return scores;
 }

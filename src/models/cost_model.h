@@ -90,16 +90,16 @@ class CostModel
 /**
  * TLP / MTL-TLP cost model (offline-pretrained). Scores through the
  * fused forward (FusedTlpInference; the interpreted forward for LSTM
- * backbones) behind the feature/score cache (DESIGN.md §13).
+ * backbones) behind the score memo (DESIGN.md §13).
  */
 class TlpCostModel : public CostModel
 {
   public:
-    /** Feature/score cache entries of a default-built model. */
+    /** Score memo entries of a default-built model. */
     static constexpr int64_t kDefaultCacheCapacity = 4096;
 
     /** @p cache_capacity must be > 0 (FeatureCache checks it); only
-     *  tests shrink it, to drive eviction and bypass. */
+     *  tests shrink it, to drive eviction. */
     TlpCostModel(std::shared_ptr<TlpNet> net,
                  feat::TlpFeatureOptions feature_options = {},
                  int head_task = 0,
@@ -114,7 +114,7 @@ class TlpCostModel : public CostModel
         override;
     bool needsLowering() const override { return false; }
 
-    /** Cache accounting. */
+    /** Score memo accounting. */
     FeatureCache::Stats cacheStats() const;
 
   private:
@@ -136,9 +136,6 @@ class TlpCostModel : public CostModel
     std::vector<SeqKey> keys_;
     std::vector<float> batch_;
     std::vector<int64_t> pending_state_;
-    std::vector<int64_t> pending_slot_;
-    std::vector<uint8_t> pending_fresh_;
-    std::vector<uint8_t> claimed_;   ///< cache slots this batch reads
     std::vector<double> forward_scores_;
 };
 

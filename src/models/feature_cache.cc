@@ -35,19 +35,15 @@ seqKeyOf(const sched::PrimitiveSeq &seq)
     return key;
 }
 
-FeatureCache::FeatureCache(int64_t dim, int64_t capacity)
-    : dim_(dim), capacity_(capacity)
+FeatureCache::FeatureCache(int64_t capacity) : capacity_(capacity)
 {
-    TLP_CHECK(dim_ > 0, "feature cache needs a positive row width");
-    TLP_CHECK(capacity_ > 0, "feature cache needs a positive capacity");
+    TLP_CHECK(capacity_ > 0, "score memo needs a positive capacity");
     // All storage up front: the steady state must never allocate.
     uint64_t table_size = 64;
     while (table_size < static_cast<uint64_t>(capacity_) * 2)
         table_size *= 2;
     mask_ = table_size - 1;
-    // Every find/insert/evict afterwards reuses this storage.
-    // tlp-lint: allow(hot-alloc) -- one-time construction sizing.
-    slab_.resize(static_cast<size_t>(capacity_ * dim_));
+    // Every lookup/store/evict afterwards reuses this storage.
     // tlp-lint: allow(hot-alloc) -- one-time construction sizing.
     entries_.resize(static_cast<size_t>(capacity_));
     // tlp-lint: allow(hot-alloc) -- one-time construction sizing.
@@ -115,71 +111,45 @@ FeatureCache::rebuildTable()
         tableInsert(entries_[static_cast<size_t>(slot)].key, slot);
 }
 
-int64_t
-FeatureCache::find(const SeqKey &key) const
-{
-    return probeFind(key);
-}
-
-int64_t
-FeatureCache::insert(const SeqKey &key)
-{
-    ++stats_.misses;
-    int64_t slot;
-    if (size_ < capacity_) {
-        slot = size_++;
-    } else {
-        // Deterministic FIFO: slots were filled in insertion order and
-        // next_evict_ cycles through them in that same order, so the
-        // victim is always the oldest (re)inserted entry.
-        slot = next_evict_;
-        next_evict_ = (next_evict_ + 1) % capacity_;
-        tableErase(entries_[static_cast<size_t>(slot)].key);
-        ++stats_.evictions;
-        // Probe chains degrade as tombstones accumulate; rebuilding
-        // in place keeps lookups O(1) without allocating.
-        if (tombstones_ > static_cast<int64_t>(table_.size()) / 4)
-            rebuildTable();
-    }
-    Entry &entry = entries_[static_cast<size_t>(slot)];
-    entry.key = key;
-    entry.score_task = -1;
-    entry.score_epoch = 0;
-    entry.score = 0.0;
-    tableInsert(key, slot);
-    return slot;
-}
-
-const float *
-FeatureCache::rowAt(int64_t slot) const
-{
-    return slab_.data() + slot * dim_;
-}
-
-float *
-FeatureCache::rowAt(int64_t slot)
-{
-    return slab_.data() + slot * dim_;
-}
-
 bool
-FeatureCache::scoreAt(int64_t slot, int task, uint64_t epoch,
-                      double *out) const
+FeatureCache::lookup(const SeqKey &key, uint64_t epoch, double *score)
 {
-    const Entry &entry = entries_[static_cast<size_t>(slot)];
-    if (entry.score_task != task || entry.score_epoch != epoch)
+    const int64_t slot = probeFind(key);
+    if (slot < 0 || entries_[static_cast<size_t>(slot)].epoch != epoch) {
+        ++stats_.misses;
         return false;
-    *out = entry.score;
+    }
+    ++stats_.score_hits;
+    *score = entries_[static_cast<size_t>(slot)].score;
     return true;
 }
 
 void
-FeatureCache::storeScore(int64_t slot, int task, uint64_t epoch,
-                         double score)
+FeatureCache::store(const SeqKey &key, uint64_t epoch, double score)
 {
+    int64_t slot = probeFind(key);
+    if (slot < 0) {
+        if (size_ < capacity_) {
+            slot = size_++;
+        } else {
+            // Deterministic FIFO: slots were filled in insertion order
+            // and next_evict_ cycles through them in that same order,
+            // so the victim is always the oldest inserted entry.
+            slot = next_evict_;
+            next_evict_ = (next_evict_ + 1) % capacity_;
+            tableErase(entries_[static_cast<size_t>(slot)].key);
+            ++stats_.evictions;
+        }
+        entries_[static_cast<size_t>(slot)].key = key;
+        tableInsert(key, slot);
+        // Probe chains degrade as tombstones accumulate; rebuilding in
+        // place (after the slot holds its new key, so the evicted key
+        // is not re-indexed) keeps lookups O(1) without allocating.
+        if (tombstones_ > static_cast<int64_t>(table_.size()) / 4)
+            rebuildTable();
+    }
     Entry &entry = entries_[static_cast<size_t>(slot)];
-    entry.score_task = task;
-    entry.score_epoch = epoch;
+    entry.epoch = epoch;
     entry.score = score;
 }
 

@@ -1,28 +1,28 @@
 /**
  * @file
- * Primitive-sequence feature cache for the scoring hot path
+ * Primitive-sequence score memo for the scoring hot path
  * (DESIGN.md §13).
  *
- * Evolutionary search re-scores survivors every generation and mutation
- * changes few primitives, so most predictBatch candidates have been
- * featurized — and usually scored — before. The cache memoizes both
- * per candidate, keyed by a 128-bit content hash of the PrimitiveSeq
- * (two independent fnv1a-style walks; a primary-hash collision with a
- * mismatched secondary is treated as a miss, so a 64-bit collision
- * cannot silently serve the wrong candidate's row).
+ * Evolutionary search re-scores survivors every generation, so many
+ * predictBatch candidates have been scored before under the same
+ * weights. The memo keeps their scores, keyed by a 128-bit content hash
+ * of the PrimitiveSeq (two independent fnv1a-style walks; a
+ * primary-hash collision with a mismatched secondary is treated as a
+ * miss, so a 64-bit collision cannot silently serve the wrong
+ * candidate's score). Feature rows are not kept: TLP extracts them
+ * straight from the sequence, so a miss re-extracts and forwards.
  *
- * Determinism contract: the cache is an accelerator, never an oracle —
- * features are pure functions of the sequence and scores are pure
- * per-row functions of (features, params, task), so cached and uncached
- * runs predict bit-identically; eviction is deterministic FIFO in
- * insertion order. Score memos carry the owning parameter fingerprint
- * ("epoch"): retraining or hot-swapping the net invalidates them
- * without touching the feature rows.
+ * Determinism contract: the memo is an accelerator, never an oracle —
+ * scores are pure per-row functions of (sequence, params, task), so
+ * memoized and fresh scores are bit-identical; eviction is
+ * deterministic FIFO in insertion order. Every score carries the
+ * owning parameter fingerprint ("epoch"): retraining or hot-swapping
+ * the net turns every older score into a miss.
  *
- * Storage is fully preallocated at construction (feature slab, entry
- * array, open-addressed index with tombstone-triggered in-place
- * rebuild), so steady-state find/insert/evict performs zero heap
- * allocations — the TU is declared hot in tools/lint_manifest.txt.
+ * Storage is fully preallocated at construction (entry array,
+ * open-addressed index with tombstone-triggered in-place rebuild), so
+ * steady-state lookup/store/evict performs zero heap allocations — the
+ * TU is declared hot in tools/lint_manifest.txt.
  */
 #pragma once
 
@@ -49,72 +49,51 @@ struct SeqKey
 /** Both hash walks in one pass over @p seq. */
 SeqKey seqKeyOf(const sched::PrimitiveSeq &seq);
 
-/** Bounded FIFO cache of feature rows + per-task score memos. */
+/** Bounded FIFO memo of scores keyed by (SeqKey, epoch). A memo serves
+ *  one model's one head, so the task is not part of the key. */
 class FeatureCache
 {
   public:
-    /** Hit/miss accounting (monotonic; reset never). */
+    /** Hit/miss accounting (monotonic; reset never).
+     *  feature_hits and bypasses are always 0: no rows are kept, so
+     *  nothing is reused or bypassed; they remain because tlpbench
+     *  reports every field. */
     struct Stats
     {
         uint64_t score_hits = 0;    ///< memoized score reused
-        uint64_t feature_hits = 0;  ///< cached row reused, forward re-run
-        uint64_t misses = 0;        ///< extracted fresh into the cache
+        uint64_t feature_hits = 0;  ///< always 0
+        uint64_t misses = 0;        ///< absent or stale-epoch lookups
         uint64_t evictions = 0;     ///< FIFO evictions performed
-        uint64_t bypasses = 0;      ///< extracted fresh, cache skipped
+        uint64_t bypasses = 0;      ///< always 0
     };
 
-    /** @p dim floats per feature row, at most @p capacity entries. */
-    FeatureCache(int64_t dim, int64_t capacity);
-
-    int64_t capacity() const { return capacity_; }
-    int64_t dim() const { return dim_; }
+    /** At most @p capacity memoized scores. */
+    explicit FeatureCache(int64_t capacity);
 
     /** Live entries (monotone up to capacity; eviction reuses slots). */
     int64_t size() const { return size_; }
 
-    /** True once every slot is occupied (inserts now evict). */
-    bool full() const { return size_ == capacity_; }
+    /**
+     * The score of @p key memoized under @p epoch into @p score, if
+     * present. Counts a score hit, or a miss (an entry under another
+     * epoch is a miss too).
+     */
+    bool lookup(const SeqKey &key, uint64_t epoch, double *score);
 
     /**
-     * The slot the next insert() will evict (meaningful only when
-     * full()). Callers batching many lookups must check this against
-     * the slots they still reference and bypass the cache on a clash —
-     * see TlpCostModel::predictBatch.
+     * Memoize @p score for @p key under @p epoch. A present key is
+     * refreshed in place (keeping its FIFO position); otherwise the
+     * oldest entry is evicted at capacity.
      */
-    int64_t nextVictim() const { return next_evict_; }
-
-    /** Slot of @p key, or -1. Does not touch the stats counters. */
-    int64_t find(const SeqKey &key) const;
-
-    /**
-     * Claim a slot for @p key (FIFO-evicting the oldest entry at
-     * capacity) and return it; the caller must fill rowAt(slot) before
-     * the next find() of this key. Counts a miss (plus an eviction when
-     * one happened). @p key must not already be present.
-     */
-    int64_t insert(const SeqKey &key);
-
-    const float *rowAt(int64_t slot) const;
-    float *rowAt(int64_t slot);
-
-    /** Memoized score of (slot, task, epoch) into @p out, if present. */
-    bool scoreAt(int64_t slot, int task, uint64_t epoch,
-                 double *out) const;
-
-    /** Memoize @p score for (slot, task, epoch). */
-    void storeScore(int64_t slot, int task, uint64_t epoch, double score);
+    void store(const SeqKey &key, uint64_t epoch, double score);
 
     const Stats &stats() const { return stats_; }
-    void noteScoreHit() { ++stats_.score_hits; }
-    void noteFeatureHit() { ++stats_.feature_hits; }
-    void noteBypass() { ++stats_.bypasses; }
 
   private:
     struct Entry
     {
         SeqKey key;
-        int score_task = -1;        ///< -1 = no score memo
-        uint64_t score_epoch = 0;   ///< params fingerprint of the memo
+        uint64_t epoch = 0;   ///< params fingerprint of the score
         double score = 0.0;
     };
 
@@ -124,12 +103,10 @@ class FeatureCache
     void tableErase(const SeqKey &key);
     void rebuildTable();
 
-    int64_t dim_;
     int64_t capacity_;
     int64_t size_ = 0;
     int64_t next_evict_ = 0;     ///< FIFO cursor once full
     int64_t tombstones_ = 0;
-    std::vector<float> slab_;    ///< capacity_ * dim_ feature rows
     std::vector<Entry> entries_;
     std::vector<int64_t> table_; ///< open-addressed, power-of-two sized
     uint64_t mask_ = 0;

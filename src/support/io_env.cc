@@ -5,7 +5,6 @@
 #include <filesystem>
 #include <vector>
 
-#include "support/config.h"
 #include "support/rng.h"
 
 namespace tlp {
@@ -13,22 +12,6 @@ namespace tlp {
 namespace fs = std::filesystem;
 
 namespace {
-
-/** splitmix64 finalizer, the same mixer the other keyed draws use. */
-uint64_t
-mix64(uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
-double
-hashUniform(uint64_t key)
-{
-    return static_cast<double>(mix64(key) >> 11) * 0x1.0p-53;
-}
 
 /** Domain-separation salts so write draws, read draws, and derived
  *  values never correlate across streams of the same (seed, path). */
@@ -96,24 +79,6 @@ IoFaultProfile::draw(uint64_t path_fp, uint64_t op_index) const
     decision.aux = mix64(hashCombine(h, kAuxSalt));
     decision.crash_debris = crash_debris;
     return decision;
-}
-
-IoFaultProfile
-IoFaultProfile::fromEnv()
-{
-    IoFaultProfile profile;
-    profile.fault_rate = std::clamp(envOr("TLP_IO_FAULT_RATE", 0.0),
-                                    0.0, 0.999);
-    profile.seed = static_cast<uint64_t>(
-        envOr("TLP_IO_FAULT_SEED",
-              static_cast<double>(profile.seed)));
-    profile.crash_debris = envOr("TLP_IO_CRASH_DEBRIS", 0.0) > 0.5;
-    return profile;
-}
-
-IoEnv::IoEnv()
-    : profile_(IoFaultProfile::fromEnv())
-{
 }
 
 IoEnv &

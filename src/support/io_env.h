@@ -88,10 +88,6 @@ struct IoFaultProfile
      *  fingerprint @p path_fp. Faulting operations pick one of the four
      *  kinds uniformly from the same keyed hash. */
     IoFaultDecision draw(uint64_t path_fp, uint64_t op_index) const;
-
-    /** Profile from TLP_IO_FAULT_RATE / TLP_IO_FAULT_SEED /
-     *  TLP_IO_CRASH_DEBRIS (all optional; default = no faults). */
-    static IoFaultProfile fromEnv();
 };
 
 /** Operation tallies, all deterministic given a profile + workload. */
@@ -117,7 +113,8 @@ struct IoCounters
 class IoEnv
 {
   public:
-    /** The process singleton, initially IoFaultProfile::fromEnv(). */
+    /** The process singleton, initially the default (no-fault)
+     *  profile. */
     static IoEnv &global();
 
     /** Install @p profile and reset the per-path op counters (so a
@@ -148,7 +145,7 @@ class IoEnv
     void resetCounters();
 
   private:
-    IoEnv();
+    IoEnv() = default;
 
     mutable std::mutex mutex_;
     IoFaultProfile profile_;

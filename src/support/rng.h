@@ -91,6 +91,13 @@ class Rng
 /** splitmix64 step, exposed for hashing uses. */
 uint64_t splitmix64(uint64_t &state);
 
+/** splitmix64 of a copy of @p x: the stateless mixer behind every keyed
+ *  draw. */
+uint64_t mix64(uint64_t x);
+
+/** Keyed uniform draw in [0, 1) from the top 53 bits of mix64(key). */
+double hashUniform(uint64_t key);
+
 /** Mix two 64-bit values into one (for deterministic per-key noise). */
 uint64_t hashCombine(uint64_t a, uint64_t b);
 

@@ -2,8 +2,8 @@
  * @file
  * Tests for the inference hot path (DESIGN.md §13): the Arena scratch
  * allocator, the in-place feature extractor, the fused forward, and the
- * primitive-seq feature/score cache. The load-bearing claim everywhere
- * is bit-identity: at any cache capacity, cold or warm, TlpCostModel
+ * primitive-seq score memo. The load-bearing claim everywhere is
+ * bit-identity: at any memo capacity, cold or warm, TlpCostModel
  * must predict the exact bits of the interpreted oracle.
  */
 #include <gtest/gtest.h>
@@ -156,8 +156,8 @@ makeNet(const model::TlpNetConfig &config, uint64_t seed = 7)
     return std::make_shared<model::TlpNet>(config, rng);
 }
 
-/** Cache capacities every equivalence check runs at: the default, one
- *  that fits the populations, and one that evicts and bypasses. */
+/** Memo capacities every equivalence check runs at: the default, one
+ *  that fits the populations, and one that evicts. */
 constexpr int64_t kCapacities[] = {
     model::TlpCostModel::kDefaultCacheCapacity, 64, 4};
 
@@ -406,7 +406,7 @@ TEST(FeatureCache, InterleavedGenerationsMatchOracle)
 
     // Evolution-shaped workload: each generation keeps survivors from
     // the previous one (score-memo hits), mutates some (fresh rows), and
-    // injects duplicates (same-batch slot sharing).
+    // injects duplicates (two misses storing the same key).
     static const ir::Workload workload =
         ir::partitionGraph(ir::buildNetwork("mlp-mixer"));
     sketch::SchedulePolicy policy(workload.subgraphs[0], false);
@@ -415,7 +415,7 @@ TEST(FeatureCache, InterleavedGenerationsMatchOracle)
         policy.sampleInitPopulation(24, rng);
     ASSERT_FALSE(population.empty());
     for (int generation = 0; generation < 4; ++generation) {
-        // Duplicates inside one batch exercise the two-phase fill.
+        // Duplicates inside one batch both miss and both store.
         std::vector<sched::State> batch = population;
         batch.push_back(population[0]);
         batch.push_back(population[population.size() / 2]);
@@ -476,39 +476,58 @@ TEST(FeatureCache, EvictionUnitSemantics)
 {
     const auto states = samplePopulation(8, 50);
     ASSERT_GE(states.size(), 5u);
-    model::FeatureCache cache(4, 2);
+    model::FeatureCache cache(2);
     std::vector<model::SeqKey> keys;
     for (const sched::State &state : states)
         keys.push_back(model::seqKeyOf(state.steps()));
 
-    const int64_t s0 = cache.insert(keys[0]);
-    const int64_t s1 = cache.insert(keys[1]);
-    EXPECT_EQ(cache.find(keys[0]), s0);
-    EXPECT_EQ(cache.find(keys[1]), s1);
-    cache.storeScore(s0, 0, 9, 1.5);
     double score = 0.0;
-    EXPECT_TRUE(cache.scoreAt(s0, 0, 9, &score));
+    EXPECT_FALSE(cache.lookup(keys[0], 9, &score));   // miss 1
+    cache.store(keys[0], 9, 1.5);
+    cache.store(keys[1], 9, 2.5);
+    EXPECT_TRUE(cache.lookup(keys[0], 9, &score));    // hit 1
     EXPECT_EQ(score, 1.5);
-    EXPECT_FALSE(cache.scoreAt(s0, 1, 9, &score));  // other task
-    EXPECT_FALSE(cache.scoreAt(s0, 0, 8, &score));  // other epoch
+    EXPECT_FALSE(cache.lookup(keys[0], 8, &score));   // stale: miss 2
+    EXPECT_TRUE(cache.lookup(keys[1], 9, &score));    // hit 2
+    EXPECT_EQ(score, 2.5);
 
-    // Third insert evicts the oldest (keys[0]) and reuses its slot —
-    // including clearing the score memo.
-    const int64_t s2 = cache.insert(keys[2]);
-    EXPECT_EQ(s2, s0);
-    EXPECT_EQ(cache.find(keys[0]), -1);
-    EXPECT_EQ(cache.find(keys[2]), s2);
-    EXPECT_FALSE(cache.scoreAt(s2, 0, 9, &score));
-    EXPECT_EQ(cache.stats().evictions, 1u);
+    // Refreshing a present key rewrites it in place: no eviction, and
+    // its FIFO position (oldest) is kept.
+    cache.store(keys[0], 10, 3.5);
+    EXPECT_EQ(cache.size(), 2);
+    EXPECT_FALSE(cache.lookup(keys[0], 9, &score));   // miss 3
+    EXPECT_TRUE(cache.lookup(keys[0], 10, &score));   // hit 3
+    EXPECT_EQ(score, 3.5);
+    EXPECT_EQ(cache.stats().evictions, 0u);
 
-    // Hammer it: many inserts over a 2-entry cache stay consistent.
-    for (int round = 0; round < 50; ++round) {
+    // A third key evicts the oldest insertion (keys[0]), then keys[1].
+    cache.store(keys[2], 10, 4.5);
+    EXPECT_FALSE(cache.lookup(keys[0], 10, &score));  // miss 4
+    EXPECT_TRUE(cache.lookup(keys[1], 9, &score));    // hit 4
+    EXPECT_TRUE(cache.lookup(keys[2], 10, &score));   // hit 5
+    EXPECT_EQ(score, 4.5);
+    cache.store(keys[3], 10, 5.5);
+    EXPECT_FALSE(cache.lookup(keys[1], 9, &score));   // miss 5
+    EXPECT_TRUE(cache.lookup(keys[2], 10, &score));   // hit 6
+    EXPECT_TRUE(cache.lookup(keys[3], 10, &score));   // hit 7
+    EXPECT_EQ(cache.stats().evictions, 2u);
+    EXPECT_EQ(cache.stats().score_hits, 7u);
+    EXPECT_EQ(cache.stats().misses, 5u);
+    EXPECT_EQ(cache.stats().feature_hits, 0u);
+    EXPECT_EQ(cache.stats().bypasses, 0u);
+
+    // Hammer it: cycling more keys than slots evicts on every store,
+    // and each fresh store must read back exactly.
+    for (int round = 0; round < 200; ++round) {
         const model::SeqKey &key =
             keys[static_cast<size_t>(round) % keys.size()];
-        if (cache.find(key) < 0)
-            cache.insert(key);
-        EXPECT_GE(cache.find(key), 0);
+        const auto want = static_cast<double>(round);
+        EXPECT_FALSE(cache.lookup(key, 11, &score));
+        cache.store(key, 11, want);
+        EXPECT_TRUE(cache.lookup(key, 11, &score));
+        EXPECT_EQ(score, want);
     }
+    EXPECT_EQ(cache.stats().evictions, 202u);
     EXPECT_EQ(cache.size(), 2);
 }
 

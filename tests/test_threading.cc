@@ -290,15 +290,23 @@ TEST(BitIdentical, PredictBatchMatchesScoreStatesAtAnyThreadCount)
 
 TEST(BitIdentical, FusedAndCachedInferenceAtAnyThreadCount)
 {
-    // The §13 hot path: TlpCostModel at every cache capacity must
+    // The §13 hot path: TlpCostModel at every memo capacity must
     // predict the interpreted oracle's bits at any thread count — with
-    // the cache warm (second call) as well as cold.
+    // the memo warm (second call) as well as cold.
     const ir::Workload workload =
         ir::partitionGraph(ir::buildNetwork("mlp-mixer"));
     Rng rng(110);
-    sketch::SchedulePolicy policy(workload.subgraphs[0], false);
-    const auto states = policy.sampleInitPopulation(48, rng);
-    ASSERT_FALSE(states.empty());
+    // One subgraph yields only a few distinct schedules, so pool across
+    // subgraphs: the capacity-4 memo must really evict.
+    std::vector<sched::State> states;
+    for (const auto &subgraph : workload.subgraphs) {
+        sketch::SchedulePolicy policy(subgraph, false);
+        for (auto &state : policy.sampleInitPopulation(48, rng)) {
+            if (states.size() < 48)
+                states.push_back(std::move(state));
+        }
+    }
+    ASSERT_EQ(states.size(), 48u);
     // A duplicate-heavy population too: a few schedules, each repeated
     // across blocks (the fused forward dedups rows within a block).
     std::vector<sched::State> repeated;
@@ -325,6 +333,9 @@ TEST(BitIdentical, FusedAndCachedInferenceAtAnyThreadCount)
                 // Cold, then warm: both equal the oracle...
                 EXPECT_EQ(oracle, cost_model.predictBatch(0, *population));
                 EXPECT_EQ(oracle, cost_model.predictBatch(0, *population));
+                if (capacity == 4) {
+                    EXPECT_GT(cost_model.cacheStats().evictions, 0u);
+                }
             }
             std::vector<float> row;
             for (double s : oracle)
