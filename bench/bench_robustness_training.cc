@@ -12,11 +12,13 @@
  * run as soon as a fault fires, rollback-retry finishes with a finite
  * loss close to the clean run at a small step cost, and the guarded
  * search fails over instead of aborting and still finishes its budget.
- * Results go to stdout and BENCH_robustness_training.json.
+ * Results go to stdout and BENCH_robustness_training.json; the exit
+ * status is 1 when the measured shape deviates from the expected one.
  */
 #include <cmath>
 #include <cstdio>
 #include <iterator>
+#include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -171,6 +173,29 @@ main()
                 "the guarded search fails over\nand completes its full "
                 "measurement budget.\n");
 
+    // Gate on that shape: any deviation exits 1 (after the JSON).
+    std::vector<std::string> violations;
+    for (const TrainRun &run : runs) {
+        const bool abort_policy = std::string(run.policy) == "abort";
+        if (!abort_policy && (!std::isfinite(run.final_loss) || run.aborted))
+            violations.push_back("rollback-retry at fault rate " +
+                                 formatDouble(run.fault_rate, 2) +
+                                 " did not finish with a finite loss");
+        if (abort_policy && !run.aborted)
+            violations.push_back("abort-on-fault at fault rate " +
+                                 formatDouble(run.fault_rate, 2) +
+                                 " did not abort");
+    }
+    if (search_health[model::HealthEvent::Failover] < 1)
+        violations.push_back("the guarded search never failed over");
+    if (degraded.total_measurements != clean.total_measurements)
+        violations.push_back(
+            "the guarded search measured " +
+            std::to_string(degraded.total_measurements) + " programs, " +
+            "the healthy one " + std::to_string(clean.total_measurements));
+    for (const std::string &violation : violations)
+        std::fprintf(stderr, "SHAPE VIOLATION: %s\n", violation.c_str());
+
     FILE *json = std::fopen("BENCH_robustness_training.json", "w");
     if (!json) {
         std::fprintf(stderr,
@@ -214,5 +239,5 @@ main()
     std::fprintf(json, "  }\n}\n");
     std::fclose(json);
     std::printf("wrote BENCH_robustness_training.json\n");
-    return 0;
+    return violations.empty() ? 0 : 1;
 }

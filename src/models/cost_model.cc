@@ -15,22 +15,7 @@ namespace {
  * Largest single forward pass of the batched scoring path; populations
  * beyond this are split to bound activation memory.
  */
-constexpr int kMaxForwardBatch = 2048;
-
-/** Ad-hoc LabeledSet holding only features (for batch prediction). */
-data::LabeledSet
-featureOnlySet(std::vector<float> features, int rows, int dim)
-{
-    data::LabeledSet set;
-    set.rows = rows;
-    set.feature_dim = dim;
-    set.num_tasks = 1;
-    set.features = std::move(features);
-    set.labels.assign(static_cast<size_t>(rows),
-                      std::numeric_limits<float>::quiet_NaN());
-    set.groups.assign(static_cast<size_t>(rows), 0);
-    return set;
-}
+constexpr int64_t kMaxForwardBatch = 2048;
 
 /**
  * Lower + extract Ansor features, parallel over candidates. Lowering
@@ -71,13 +56,13 @@ ansorFeaturesOf(const std::vector<sched::State> &states)
 std::vector<double>
 interpretedTlpScores(TlpNet &net, const float *rows, int64_t n, int task)
 {
+    // One forward over all rows (split only beyond the activation-memory
+    // cap), instead of per-candidate forwards.
     const int dim = net.config().seq_len * net.config().emb_size;
-    auto set = featureOnlySet(
-        std::vector<float>(rows, rows + n * dim), static_cast<int>(n), dim);
-    // One forward over the whole set (split only beyond the
-    // activation-memory cap), instead of per-candidate forwards.
-    return predictTlpNet(net, set, task,
-                         std::min(set.rows, kMaxForwardBatch));
+    return forwardRows(rows, n, dim, std::min(n, kMaxForwardBatch),
+                       [&](const nn::Tensor &x) {
+                           return net.forwardTask(x, task);
+                       });
 }
 
 TlpCostModel::TlpCostModel(std::shared_ptr<TlpNet> net,
@@ -95,13 +80,6 @@ TlpCostModel::TlpCostModel(std::shared_ptr<TlpNet> net,
         packed_epoch_ = paramsFingerprint();
     }
     cache_ = std::make_unique<FeatureCache>(cache_capacity);
-}
-
-std::vector<double>
-TlpCostModel::scoreStates(int task_id,
-                          const std::vector<sched::State> &states)
-{
-    return predictBatch(task_id, states);
 }
 
 uint64_t
@@ -212,22 +190,16 @@ TensetMlpCostModel::TensetMlpCostModel(std::shared_ptr<TensetMlpNet> net)
 }
 
 std::vector<double>
-TensetMlpCostModel::scoreStates(int task_id,
-                                const std::vector<sched::State> &states)
-{
-    return predictBatch(task_id, states);
-}
-
-std::vector<double>
 TensetMlpCostModel::predictBatch(int task_id,
                                  const std::vector<sched::State> &states)
 {
     if (states.empty())
         return {};
-    auto set = featureOnlySet(ansorFeaturesOf(states),
-                              static_cast<int>(states.size()),
-                              feat::kAnsorFeatureSize);
-    return predictMlp(*net_, set, std::min(set.rows, kMaxForwardBatch));
+    const auto features = ansorFeaturesOf(states);
+    const auto n = static_cast<int64_t>(states.size());
+    return forwardRows(features.data(), n, feat::kAnsorFeatureSize,
+                       std::min(n, kMaxForwardBatch),
+                       [&](const nn::Tensor &x) { return net_->forward(x); });
 }
 
 AnsorOnlineCostModel::AnsorOnlineCostModel(GbdtOptions options)
@@ -236,8 +208,8 @@ AnsorOnlineCostModel::AnsorOnlineCostModel(GbdtOptions options)
 }
 
 std::vector<double>
-AnsorOnlineCostModel::scoreStates(int task_id,
-                                  const std::vector<sched::State> &states)
+AnsorOnlineCostModel::predictBatch(int task_id,
+                                   const std::vector<sched::State> &states)
 {
     if (states.empty())
         return {};
@@ -319,8 +291,8 @@ RandomCostModel::deserializeState(BinaryReader &reader)
 }
 
 std::vector<double>
-RandomCostModel::scoreStates(int task_id,
-                             const std::vector<sched::State> &states)
+RandomCostModel::predictBatch(int task_id,
+                              const std::vector<sched::State> &states)
 {
     std::vector<double> scores(states.size());
     for (auto &score : scores)

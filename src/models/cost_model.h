@@ -3,7 +3,8 @@
  * The search-facing cost-model interface and its implementations.
  *
  * The auto-tuner (src/tuner) scores thousands of candidate schedules per
- * round through this interface and feeds back measured latencies:
+ * round through this interface's one scoring virtual, predictBatch, and
+ * feeds back measured latencies:
  *
  *   - TlpCostModel:      pretrained TLP / MTL-TLP net; features come
  *                        straight from the primitive sequence (no
@@ -32,9 +33,10 @@ namespace tlp::model {
 /**
  * The interpreted TLP forward: scores of @p n feature rows
  * (seq_len * emb_size floats each, from feat::extractTlpFeatures) on
- * head @p task through the autograd graph. TlpCostModel scores LSTM
- * backbones this way; for every other net it is the oracle the fused
- * forward and the cache must match bit for bit (DESIGN.md §13).
+ * head @p task through the autograd graph, via forwardRows. TlpCostModel
+ * scores LSTM backbones this way; for every other net it is the oracle
+ * the fused forward and the cache must match bit for bit (DESIGN.md
+ * §13).
  */
 std::vector<double> interpretedTlpScores(TlpNet &net, const float *rows,
                                          int64_t n, int task = 0);
@@ -48,21 +50,24 @@ class CostModel
     /** Display name, e.g. "tlp". */
     virtual std::string name() const = 0;
 
-    /** Score candidates of task @p task_id; higher = predicted faster. */
-    virtual std::vector<double>
-    scoreStates(int task_id, const std::vector<sched::State> &states) = 0;
-
     /**
-     * Batched scoring path for the evolutionary search: feature
-     * extraction (and lowering, where required) runs in parallel over
-     * candidates on the global ThreadPool, and the whole population is
-     * scored in as few network forwards as possible. The default
-     * delegates to scoreStates; results are identical either way.
+     * The one scoring virtual: scores of task @p task_id's candidates,
+     * higher = predicted faster. Feature extraction (and lowering, where
+     * required) runs in parallel over candidates on the global
+     * ThreadPool, and the whole population is scored in as few network
+     * forwards as possible.
      */
     virtual std::vector<double>
-    predictBatch(int task_id, const std::vector<sched::State> &states)
+    predictBatch(int task_id, const std::vector<sched::State> &states) = 0;
+
+    /**
+     * Same scores as predictBatch, which it calls. Virtual only so a
+     * forwarding decorator can time the two entry points apart.
+     */
+    virtual std::vector<double>
+    scoreStates(int task_id, const std::vector<sched::State> &states)
     {
-        return scoreStates(task_id, states);
+        return predictBatch(task_id, states);
     }
 
     /** Feed back measured latencies (online models retrain). */
@@ -107,9 +112,6 @@ class TlpCostModel : public CostModel
 
     std::string name() const override { return "tlp"; }
     std::vector<double>
-    scoreStates(int task_id, const std::vector<sched::State> &states)
-        override;
-    std::vector<double>
     predictBatch(int task_id, const std::vector<sched::State> &states)
         override;
     bool needsLowering() const override { return false; }
@@ -147,9 +149,6 @@ class TensetMlpCostModel : public CostModel
 
     std::string name() const override { return "tenset-mlp"; }
     std::vector<double>
-    scoreStates(int task_id, const std::vector<sched::State> &states)
-        override;
-    std::vector<double>
     predictBatch(int task_id, const std::vector<sched::State> &states)
         override;
     bool needsLowering() const override { return true; }
@@ -166,7 +165,7 @@ class AnsorOnlineCostModel : public CostModel
 
     std::string name() const override { return "ansor-online"; }
     std::vector<double>
-    scoreStates(int task_id, const std::vector<sched::State> &states)
+    predictBatch(int task_id, const std::vector<sched::State> &states)
         override;
     void update(int task_id,
                 const std::vector<const sched::State *> &states,
@@ -195,7 +194,7 @@ class RandomCostModel : public CostModel
 
     std::string name() const override { return "random"; }
     std::vector<double>
-    scoreStates(int task_id, const std::vector<sched::State> &states)
+    predictBatch(int task_id, const std::vector<sched::State> &states)
         override;
     bool needsLowering() const override { return false; }
     void serializeState(BinaryWriter &writer) const override;

@@ -89,15 +89,12 @@ GuardedCostModel::failover(HealthEvent cause)
 }
 
 std::vector<double>
-GuardedCostModel::guardedScore(int task_id,
-                               const std::vector<sched::State> &states,
-                               bool batched)
+GuardedCostModel::predictBatch(int task_id,
+                               const std::vector<sched::State> &states)
 {
     while (true) {
         CostModel &model = *ladder_[static_cast<size_t>(active_)];
-        std::vector<double> scores =
-            batched ? model.predictBatch(task_id, states)
-                    : model.scoreStates(task_id, states);
+        std::vector<double> scores = model.predictBatch(task_id, states);
         HealthEvent event = HealthEvent::NumEvents;
         const bool last_rung =
             active_ + 1 >= static_cast<int>(ladder_.size());
@@ -107,20 +104,6 @@ GuardedCostModel::guardedScore(int task_id,
         }
         failover(event); // advances active_; re-score with the next rung
     }
-}
-
-std::vector<double>
-GuardedCostModel::scoreStates(int task_id,
-                              const std::vector<sched::State> &states)
-{
-    return guardedScore(task_id, states, /*batched=*/false);
-}
-
-std::vector<double>
-GuardedCostModel::predictBatch(int task_id,
-                               const std::vector<sched::State> &states)
-{
-    return guardedScore(task_id, states, /*batched=*/true);
 }
 
 void
@@ -165,7 +148,7 @@ GuardedCostModel::update(int task_id,
         return;
     }
     CostModel &model = *ladder_[static_cast<size_t>(active_)];
-    const auto scores = model.scoreStates(task_id, probe_states_);
+    const auto scores = model.predictBatch(task_id, probe_states_);
     HealthEvent event = HealthEvent::NumEvents;
     if (scoresUnhealthy(scores, &event)) {
         failover(event);
@@ -275,13 +258,6 @@ FaultInjectedCostModel::maybeCollapse(std::vector<double> scores)
                          : 0.5;
     }
     return scores;
-}
-
-std::vector<double>
-FaultInjectedCostModel::scoreStates(int task_id,
-                                    const std::vector<sched::State> &states)
-{
-    return maybeCollapse(inner_->scoreStates(task_id, states));
 }
 
 std::vector<double>

@@ -71,9 +71,7 @@ class GuardedCostModel : public CostModel
     /** Health counters accumulated so far. */
     const HealthCounters &health() const { return health_; }
 
-    std::vector<double>
-    scoreStates(int task_id, const std::vector<sched::State> &states)
-        override;
+    /** Score via the active rung, failing over until scores are sane. */
     std::vector<double>
     predictBatch(int task_id, const std::vector<sched::State> &states)
         override;
@@ -94,11 +92,6 @@ class GuardedCostModel : public CostModel
     void deserializeState(BinaryReader &reader) override;
 
   private:
-    /** Score via the active rung, failing over until scores are sane. */
-    std::vector<double>
-    guardedScore(int task_id, const std::vector<sched::State> &states,
-                 bool batched);
-
     /** True when @p scores trip the NaN or collapse probe. */
     bool scoresUnhealthy(const std::vector<double> &scores,
                          HealthEvent *event) const;
@@ -132,9 +125,6 @@ class FaultInjectedCostModel : public CostModel
                            int collapse_after_updates);
 
     std::string name() const override { return inner_->name(); }
-    std::vector<double>
-    scoreStates(int task_id, const std::vector<sched::State> &states)
-        override;
     std::vector<double>
     predictBatch(int task_id, const std::vector<sched::State> &states)
         override;

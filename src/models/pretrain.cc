@@ -1,6 +1,7 @@
 #include "models/pretrain.h"
 
 #include <cmath>
+#include <numeric>
 
 namespace tlp::model {
 
@@ -24,32 +25,26 @@ pretrain(TlpNet &net, const data::LabeledSet &set,
     auto params = net.backboneParameters();
     for (Tensor &param : recon.parameters())
         params.push_back(param);
-    nn::AdamOptions adam_options;
-    adam_options.lr = options.lr;
-    nn::Adam adam(params, adam_options);
-    TrainSupervisor supervisor(params, adam, options.supervisor);
-    // Every step attempt reuses the previous step's tape buffers.
-    nn::TapePool tape;
 
     std::vector<int> order(static_cast<size_t>(set.rows));
-    for (int r = 0; r < set.rows; ++r)
-        order[static_cast<size_t>(r)] = r;
+    std::iota(order.begin(), order.end(), 0);
 
     const int l = config.seq_len;
     const int e = config.emb_size;
     const float nan = std::numeric_limits<float>::quiet_NaN();
+    const auto batch_size = static_cast<size_t>(options.batch_size);
 
-    double epoch_loss = 0.0;
-    for (int epoch = 0; epoch < options.epochs && !supervisor.stopped();
-         ++epoch) {
-        rng.shuffle(order);
-        double total = 0.0;
-        int64_t batches = 0;
-        for (size_t start = 0; start < order.size();
-             start += static_cast<size_t>(options.batch_size)) {
-            const size_t end =
-                std::min(order.size(),
-                         start + static_cast<size_t>(options.batch_size));
+    // Default AdamOptions weight decay and a constant learning rate.
+    return trainSupervised(
+        params, {.lr = options.lr}, options.supervisor, options.epochs,
+        1.0, options.verbose ? "pretrain" : nullptr,
+        [&](int) {
+            rng.shuffle(order);
+            return (order.size() + batch_size - 1) / batch_size;
+        },
+        [&](size_t batch, const BatchStep &step) {
+            const size_t start = batch * batch_size;
+            const size_t end = std::min(order.size(), start + batch_size);
             const int b = static_cast<int>(end - start);
 
             std::vector<float> input;
@@ -82,34 +77,15 @@ pretrain(TlpNet &net, const data::LabeledSet &set,
                 }
             }
 
-            Tensor x = Tensor::fromData({b, set.feature_dim},
-                                        std::move(input));
-            double batch_loss = 0.0;
-            const StepOutcome outcome = supervisor.step([&] {
-                tape.restart();
-                adam.zeroGrad();
+            const Tensor x = Tensor::fromData({b, set.feature_dim},
+                                              std::move(input));
+            step([&] {
                 Tensor h = net.backbone(x, pretext == Pretext::Gpt);
                 Tensor pred = recon.forward(h);   // [B, L, E]
                 pred = nn::reshape(pred, {b * l * e});
-                Tensor loss = nn::mseLoss(pred, targets);
-                loss.backward();
-                batch_loss = loss.value()[0];
-                return batch_loss;
+                return nn::mseLoss(pred, targets);
             });
-            if (outcome == StepOutcome::Stop)
-                break;
-            if (outcome == StepOutcome::Ok) {
-                total += batch_loss;
-                ++batches;
-            }
-        }
-        epoch_loss = batches > 0 ? total / static_cast<double>(batches)
-                                 : 0.0;
-        if (options.verbose)
-            inform("pretrain epoch ", epoch, " loss ", epoch_loss);
-        supervisor.endEpoch(epoch);
-    }
-    return epoch_loss;
+        });
 }
 
 } // namespace

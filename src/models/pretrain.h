@@ -9,7 +9,9 @@
  *   - GPT-style:  causal next-primitive-embedding prediction;
  *   - BERT-style: masked-primitive reconstruction.
  * The label columns of the input set are ignored — only features are
- * used. After pretraining, fine-tune with trainTlpNet as usual.
+ * used. Both pretexts train through trainSupervised, with the default
+ * AdamOptions weight decay and a constant learning rate. After
+ * pretraining, fine-tune with trainTlpNet as usual.
  */
 #pragma once
 

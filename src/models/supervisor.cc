@@ -461,4 +461,63 @@ TrainSupervisor::endEpoch(int epoch)
     publishHealth();
 }
 
+// --- the supervised training loop ---------------------------------------
+
+double
+trainSupervised(const std::vector<nn::Tensor> &params,
+                const nn::AdamOptions &adam_options,
+                const SupervisorOptions &supervisor_options, int epochs,
+                double lr_decay, const char *verbose_label,
+                const std::function<size_t(int epoch)> &plan_epoch,
+                const std::function<void(size_t batch,
+                                         const BatchStep &step)> &run_batch)
+{
+    nn::Adam adam(params, adam_options);
+    TrainSupervisor supervisor(params, adam, supervisor_options);
+    // Every step attempt reuses the previous step's tape buffers.
+    nn::TapePool tape;
+
+    // Both closures are built once per run, so a step costs no heap
+    // traffic beyond the trainer's own loss closure.
+    const BatchLoss *batch_loss = nullptr;
+    double attempt_loss = 0.0;
+    const std::function<double()> attempt = [&] {
+        tape.restart();
+        adam.zeroGrad();
+        nn::Tensor loss = (*batch_loss)();
+        loss.backward();
+        attempt_loss = loss.value()[0];
+        return attempt_loss;
+    };
+    StepOutcome outcome = StepOutcome::Ok;
+    double total = 0.0;
+    int64_t count = 0;
+    const BatchStep step = [&](const BatchLoss &loss) {
+        batch_loss = &loss;
+        outcome = supervisor.step(attempt);
+        if (outcome == StepOutcome::Ok) {
+            total += attempt_loss;
+            ++count;
+        }
+    };
+
+    double epoch_loss = 0.0;
+    for (int epoch = 0; epoch < epochs && !supervisor.stopped(); ++epoch) {
+        const size_t batches = plan_epoch(epoch);
+        total = 0.0;
+        count = 0;
+        outcome = StepOutcome::Ok;
+        for (size_t b = 0; b < batches && outcome != StepOutcome::Stop; ++b)
+            run_batch(b, step);
+        epoch_loss = count > 0 ? total / static_cast<double>(count) : 0.0;
+        if (verbose_label != nullptr) {
+            inform(verbose_label, " epoch ", epoch, " loss ", epoch_loss,
+                   " lr ", adam.lr());
+        }
+        adam.setLr(adam.lr() * lr_decay);
+        supervisor.endEpoch(epoch);
+    }
+    return epoch_loss;
+}
+
 } // namespace tlp::model

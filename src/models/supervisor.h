@@ -232,7 +232,7 @@ Status verifyTrainCheckpoint(std::istream &is);
  * the last-good snapshot of (parameters, optimizer state) and decides,
  * for every step attempt, whether to apply, retry, skip, or stop.
  *
- * Usage (see trainTlpNet):
+ * Usage (trainSupervised is the one training loop that drives it):
  *   TrainSupervisor supervisor(params, adam, options);
  *   for each batch:
  *       switch (supervisor.step([&] { zeroGrad; forward; backward;
@@ -310,5 +310,37 @@ class TrainSupervisor
     bool stopped_ = false;
     double start_seconds_ = 0.0;    ///< wall clock at construction
 };
+
+/** A staged batch's forward + loss; returns the scalar loss tensor. */
+using BatchLoss = std::function<nn::Tensor()>;
+
+/** Runs one supervised optimizer step around a staged batch's loss. */
+using BatchStep = std::function<void(const BatchLoss &loss)>;
+
+/**
+ * The one supervised training loop (TLP, MTL-TLP, the TenSet MLP and
+ * GPT/BERT pretraining all train through it). It builds the Adam
+ * optimizer over @p params, the TrainSupervisor and the step-recycled
+ * tape, then runs up to @p epochs epochs until the supervisor stops.
+ * Each epoch it calls @p plan_epoch, which draws the epoch's batch plan
+ * from the trainer's own Rng and returns its batch count, then
+ * @p run_batch for every batch in order. run_batch stages the batch and
+ * hands its loss closure to the step it is given, or returns without
+ * stepping to skip a batch with no label. The loss closure runs with
+ * the tape restarted and the gradients zeroed, and may run again on a
+ * rollback-retry. After each epoch the loop logs the mean loss of its
+ * applied steps (when @p verbose_label is non-null), scales the
+ * learning rate by @p lr_decay and calls endEpoch.
+ * @return the last epoch's mean loss.
+ */
+double trainSupervised(const std::vector<nn::Tensor> &params,
+                       const nn::AdamOptions &adam_options,
+                       const SupervisorOptions &supervisor_options,
+                       int epochs, double lr_decay,
+                       const char *verbose_label,
+                       const std::function<size_t(int epoch)> &plan_epoch,
+                       const std::function<void(size_t batch,
+                                                const BatchStep &step)>
+                           &run_batch);
 
 } // namespace tlp::model

@@ -46,107 +46,63 @@ trainMlp(TensetMlpNet &net, const data::LabeledSet &set,
     TLP_CHECK(set.feature_dim == net.config().input,
               "feature width mismatch");
     Rng rng(options.seed);
-    nn::AdamOptions adam_options;
-    adam_options.lr = options.lr;
-    adam_options.weight_decay = options.weight_decay;
-    nn::Adam adam(net.parameters(), adam_options);
-    TrainSupervisor supervisor(net.parameters(), adam, options.supervisor);
-    // Every step attempt reuses the previous step's tape buffers.
-    nn::TapePool tape;
 
     // Group-aware batches (rank loss needs in-group pairs).
     std::map<int, std::vector<int>> by_group;
     for (int r = 0; r < set.rows; ++r)
         by_group[set.groups[static_cast<size_t>(r)]].push_back(r);
-
-    double epoch_loss = 0.0;
-    for (int epoch = 0; epoch < options.epochs && !supervisor.stopped();
-         ++epoch) {
-        std::vector<std::vector<int>> batches;
-        for (auto &[group, rows] : by_group) {
-            rng.shuffle(rows);
-            for (size_t start = 0; start < rows.size();
-                 start += static_cast<size_t>(options.batch_size)) {
-                const size_t end =
-                    std::min(rows.size(),
-                             start + static_cast<size_t>(
-                                         options.batch_size));
-                batches.emplace_back(
-                    rows.begin() + static_cast<long>(start),
-                    rows.begin() + static_cast<long>(end));
+    const auto batch_size = static_cast<size_t>(options.batch_size);
+    std::vector<std::vector<int>> batches;
+    return trainSupervised(
+        net.parameters(),
+        {.lr = options.lr, .weight_decay = options.weight_decay},
+        options.supervisor, options.epochs, options.lr_decay,
+        options.verbose ? "mlp" : nullptr,
+        [&](int) {
+            batches.clear();
+            for (auto &[group, rows] : by_group) {
+                rng.shuffle(rows);
+                for (size_t start = 0; start < rows.size();
+                     start += batch_size) {
+                    const size_t end =
+                        std::min(rows.size(), start + batch_size);
+                    batches.emplace_back(
+                        rows.begin() + static_cast<long>(start),
+                        rows.begin() + static_cast<long>(end));
+                }
             }
-        }
-        rng.shuffle(batches);
-
-        double total = 0.0;
-        int64_t count = 0;
-        for (const auto &rows : batches) {
-            std::vector<float> data;
+            rng.shuffle(batches);
+            return batches.size();
+        },
+        [&](size_t b, const BatchStep &step) {
+            const std::vector<int> &rows = batches[b];
             std::vector<float> targets;
             std::vector<int> groups;
-            data.reserve(rows.size() *
-                         static_cast<size_t>(set.feature_dim));
+            bool any_label = false;
             for (int r : rows) {
-                const float *src = set.row(r);
-                data.insert(data.end(), src, src + set.feature_dim);
                 targets.push_back(set.labels[static_cast<size_t>(r)]);
                 groups.push_back(set.groups[static_cast<size_t>(r)]);
+                any_label |= !std::isnan(targets.back());
             }
-            bool any_label = false;
-            for (float t : targets)
-                any_label |= !std::isnan(t);
             if (!any_label)
-                continue;
-            Tensor x = Tensor::fromData(
-                {static_cast<int>(rows.size()), set.feature_dim},
-                std::move(data));
-            double batch_loss = 0.0;
-            const StepOutcome outcome = supervisor.step([&] {
-                tape.restart();
-                adam.zeroGrad();
+                return;
+            const Tensor x =
+                gatherRows(set.features.data(), set.feature_dim, rows);
+            step([&] {
                 Tensor pred = net.forward(x);
-                Tensor loss = options.use_rank_loss
-                                  ? nn::rankLoss(pred, targets, groups)
-                                  : nn::mseLoss(pred, targets);
-                loss.backward();
-                batch_loss = loss.value()[0];
-                return batch_loss;
+                return options.use_rank_loss
+                           ? nn::rankLoss(pred, targets, groups)
+                           : nn::mseLoss(pred, targets);
             });
-            if (outcome == StepOutcome::Stop)
-                break;
-            if (outcome == StepOutcome::Ok) {
-                total += batch_loss;
-                ++count;
-            }
-        }
-        epoch_loss = count > 0 ? total / static_cast<double>(count) : 0.0;
-        if (options.verbose)
-            inform("mlp epoch ", epoch, " loss ", epoch_loss);
-        adam.setLr(adam.lr() * options.lr_decay);
-        supervisor.endEpoch(epoch);
-    }
-    return epoch_loss;
+        });
 }
 
 std::vector<double>
 predictMlp(TensetMlpNet &net, const data::LabeledSet &set, int batch_size)
 {
-    std::vector<double> scores;
-    scores.reserve(static_cast<size_t>(set.rows));
-    for (int start = 0; start < set.rows; start += batch_size) {
-        const int end = std::min(set.rows, start + batch_size);
-        std::vector<float> data;
-        for (int r = start; r < end; ++r) {
-            const float *src = set.row(r);
-            data.insert(data.end(), src, src + set.feature_dim);
-        }
-        Tensor x = Tensor::fromData({end - start, set.feature_dim},
-                                    std::move(data));
-        Tensor pred = net.forward(x);
-        for (float v : pred.value())
-            scores.push_back(v);
-    }
-    return scores;
+    return forwardRows(set.features.data(), set.rows, set.feature_dim,
+                       batch_size,
+                       [&](const Tensor &x) { return net.forward(x); });
 }
 
 } // namespace tlp::model

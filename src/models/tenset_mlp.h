@@ -41,11 +41,12 @@ class TensetMlpNet : public nn::Module
     std::vector<std::unique_ptr<nn::Linear>> layers_;
 };
 
-/** Train on a single-task LabeledSet; returns last-epoch loss. */
+/** Train on a single-task LabeledSet through trainSupervised; returns
+ *  last-epoch loss. */
 double trainMlp(TensetMlpNet &net, const data::LabeledSet &set,
                 const TrainOptions &options);
 
-/** Predict scores for every row of @p set. */
+/** Predict scores for every row of @p set (via forwardRows). */
 std::vector<double> predictMlp(TensetMlpNet &net,
                                const data::LabeledSet &set,
                                int batch_size = 512);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <numeric>
 
 #include "support/logging.h"
 
@@ -152,22 +153,38 @@ makeBatches(const data::LabeledSet &set, int batch_size, Rng &rng)
     return batches;
 }
 
-/** Gather a feature batch into a Tensor [B, dim]. */
+} // namespace
+
 Tensor
-gatherFeatures(const data::LabeledSet &set, const std::vector<int> &rows)
+gatherRows(const float *features, int dim, const std::vector<int> &rows)
 {
     std::vector<float> data;
-    data.reserve(rows.size() * static_cast<size_t>(set.feature_dim));
+    data.reserve(rows.size() * static_cast<size_t>(dim));
     for (int r : rows) {
-        const float *src = set.row(r);
-        data.insert(data.end(), src, src + set.feature_dim);
+        const float *src =
+            features + static_cast<size_t>(r) * static_cast<size_t>(dim);
+        data.insert(data.end(), src, src + dim);
     }
-    return Tensor::fromData({static_cast<int>(rows.size()),
-                             set.feature_dim},
+    return Tensor::fromData({static_cast<int>(rows.size()), dim},
                             std::move(data));
 }
 
-} // namespace
+std::vector<double>
+forwardRows(const float *features, int64_t n, int dim, int64_t chunk,
+            const std::function<Tensor(const Tensor &)> &forward)
+{
+    std::vector<double> scores;
+    scores.reserve(static_cast<size_t>(n));
+    std::vector<int> rows;
+    for (int64_t start = 0; start < n; start += chunk) {
+        rows.resize(static_cast<size_t>(std::min(chunk, n - start)));
+        std::iota(rows.begin(), rows.end(), static_cast<int>(start));
+        Tensor pred = forward(gatherRows(features, dim, rows));
+        for (float v : pred.value())
+            scores.push_back(v);
+    }
+    return scores;
+}
 
 double
 trainTlpNet(TlpNet &net, const data::LabeledSet &set,
@@ -177,23 +194,20 @@ trainTlpNet(TlpNet &net, const data::LabeledSet &set,
               "label columns (", set.num_tasks, ") != net tasks (",
               net.config().num_tasks, ")");
     Rng rng(options.seed);
-    nn::AdamOptions adam_options;
-    adam_options.lr = options.lr;
-    adam_options.weight_decay = options.weight_decay;
-    nn::Adam adam(net.parameters(), adam_options);
-    TrainSupervisor supervisor(net.parameters(), adam, options.supervisor);
-    // Every step attempt reuses the previous step's tape buffers.
-    nn::TapePool tape;
-
-    double epoch_loss = 0.0;
-    for (int epoch = 0; epoch < options.epochs && !supervisor.stopped();
-         ++epoch) {
-        const auto batches = makeBatches(set, options.batch_size, rng);
-        double total = 0.0;
-        int64_t count = 0;
-        for (const auto &rows : batches) {
-            // Per-task targets/groups up front, so empty batches are
-            // skipped before the supervisor sees a step attempt.
+    std::vector<std::vector<int>> batches;
+    return trainSupervised(
+        net.parameters(),
+        {.lr = options.lr, .weight_decay = options.weight_decay},
+        options.supervisor, options.epochs, options.lr_decay,
+        options.verbose ? "tlp" : nullptr,
+        [&](int) {
+            batches = makeBatches(set, options.batch_size, rng);
+            return batches.size();
+        },
+        [&](size_t b, const BatchStep &step) {
+            const std::vector<int> &rows = batches[b];
+            // Per-task targets/groups up front, so a batch without any
+            // label is skipped before the supervisor sees a step.
             std::vector<int> active_tasks;
             std::vector<std::vector<float>> task_targets(
                 static_cast<size_t>(set.num_tasks));
@@ -218,13 +232,11 @@ trainTlpNet(TlpNet &net, const data::LabeledSet &set,
                 // else: this head sees nothing in this batch
             }
             if (active_tasks.empty())
-                continue;
+                return;
 
-            Tensor x = gatherFeatures(set, rows);
-            double batch_loss = 0.0;
-            const StepOutcome outcome = supervisor.step([&] {
-                tape.restart();
-                adam.zeroGrad();
+            const Tensor x = gatherRows(set.features.data(),
+                                        set.feature_dim, rows);
+            step([&] {
                 Tensor loss;
                 for (int task : active_tasks) {
                     Tensor pred = net.forwardTask(x, task);
@@ -237,45 +249,19 @@ trainTlpNet(TlpNet &net, const data::LabeledSet &set,
                     loss = loss.defined() ? nn::add(loss, task_loss)
                                           : task_loss;
                 }
-                loss.backward();
-                batch_loss = loss.value()[0];
-                return batch_loss;
+                return loss;
             });
-            if (outcome == StepOutcome::Stop)
-                break;
-            if (outcome == StepOutcome::Ok) {
-                total += batch_loss;
-                ++count;
-            }
-        }
-        epoch_loss = count > 0 ? total / static_cast<double>(count) : 0.0;
-        if (options.verbose) {
-            inform("epoch ", epoch, " loss ", epoch_loss, " lr ",
-                   adam.lr());
-        }
-        adam.setLr(adam.lr() * options.lr_decay);
-        supervisor.endEpoch(epoch);
-    }
-    return epoch_loss;
+        });
 }
 
 std::vector<double>
 predictTlpNet(TlpNet &net, const data::LabeledSet &set, int task,
               int batch_size)
 {
-    std::vector<double> scores;
-    scores.reserve(static_cast<size_t>(set.rows));
-    for (int start = 0; start < set.rows; start += batch_size) {
-        const int end = std::min(set.rows, start + batch_size);
-        std::vector<int> rows;
-        for (int r = start; r < end; ++r)
-            rows.push_back(r);
-        Tensor x = gatherFeatures(set, rows);
-        Tensor pred = net.forwardTask(x, task);
-        for (float v : pred.value())
-            scores.push_back(v);
-    }
-    return scores;
+    return forwardRows(set.features.data(), set.rows, set.feature_dim,
+                       batch_size, [&](const Tensor &x) {
+                           return net.forwardTask(x, task);
+                       });
 }
 
 } // namespace tlp::model

@@ -12,6 +12,7 @@
  */
 #pragma once
 
+#include <functional>
 #include <memory>
 
 #include "dataset/splits.h"
@@ -88,16 +89,35 @@ struct TrainOptions
 };
 
 /**
- * Train @p net on @p set. The set's label columns map 1:1 to the net's
- * task heads; NaN labels are skipped per task. Batches are drawn within
- * subgraph groups so the rank loss sees dense comparable pairs.
+ * Train @p net on @p set through trainSupervised. The set's label
+ * columns map 1:1 to the net's task heads; NaN labels are skipped per
+ * task. Batches are drawn within subgraph groups so the rank loss sees
+ * dense comparable pairs.
  * @return final epoch's mean training loss.
  */
 double trainTlpNet(TlpNet &net, const data::LabeledSet &set,
                    const TrainOptions &options);
 
-/** Predict scores of @p set rows with head @p task. */
+/** Predict scores of @p set rows with head @p task (via forwardRows). */
 std::vector<double> predictTlpNet(TlpNet &net, const data::LabeledSet &set,
                                   int task = 0, int batch_size = 512);
+
+/**
+ * The one feature-row gather: rows @p rows of the row-major matrix
+ * @p features (@p dim floats per row) as a Tensor [rows.size(), dim].
+ * The trainers batch through it, and so does forwardRows.
+ */
+nn::Tensor gatherRows(const float *features, int dim,
+                      const std::vector<int> &rows);
+
+/**
+ * The one row-forward loop: scores of the @p n rows of @p features
+ * (@p dim floats each), gathered @p chunk rows at a time, run through
+ * @p forward and widened to double. predictTlpNet, predictMlp and
+ * interpretedTlpScores all score through it.
+ */
+std::vector<double>
+forwardRows(const float *features, int64_t n, int dim, int64_t chunk,
+            const std::function<nn::Tensor(const nn::Tensor &)> &forward);
 
 } // namespace tlp::model

@@ -405,15 +405,30 @@ TEST(FeatureCache, InterleavedGenerationsMatchOracle)
     model::TlpCostModel cached(net, {}, 0, 256);
 
     // Evolution-shaped workload: each generation keeps survivors from
-    // the previous one (score-memo hits), mutates some (fresh rows), and
-    // injects duplicates (two misses storing the same key).
+    // the previous one (score-memo hits), mutates every member with its
+    // own subgraph's policy (fresh rows), and injects duplicates (two
+    // misses storing the same key). One subgraph dedups to a few
+    // schedules, so the population pools across subgraphs, as
+    // samplePopulation does.
     static const ir::Workload workload =
         ir::partitionGraph(ir::buildNetwork("mlp-mixer"));
-    sketch::SchedulePolicy policy(workload.subgraphs[0], false);
+    std::vector<sketch::SchedulePolicy> policies;
+    for (const auto &subgraph : workload.subgraphs)
+        policies.emplace_back(subgraph, false);
+    constexpr size_t kPopulation = 24;
     Rng rng(47);
-    std::vector<sched::State> population =
-        policy.sampleInitPopulation(24, rng);
-    ASSERT_FALSE(population.empty());
+    std::vector<sched::State> population;
+    std::vector<size_t> owner;   // policy index of each member
+    for (size_t p = 0; p < policies.size(); ++p) {
+        for (auto &state : policies[p].sampleInitPopulation(
+                 static_cast<int>(kPopulation), rng)) {
+            if (population.size() < kPopulation) {
+                population.push_back(std::move(state));
+                owner.push_back(p);
+            }
+        }
+    }
+    ASSERT_EQ(population.size(), kPopulation);
     for (int generation = 0; generation < 4; ++generation) {
         // Duplicates inside one batch both miss and both store.
         std::vector<sched::State> batch = population;
@@ -423,14 +438,21 @@ TEST(FeatureCache, InterleavedGenerationsMatchOracle)
                   bench::oracleTlpScores(*net, batch))
             << "generation " << generation;
         // Survivors + mutants for the next round.
+        const size_t survivors = population.size() / 2;
         std::vector<sched::State> next(population.begin(),
                                        population.begin() +
-                                           population.size() / 2);
-        for (const sched::State &state : population) {
-            if (auto mutant = policy.mutate(state, rng))
+                                           static_cast<long>(survivors));
+        std::vector<size_t> next_owner(owner.begin(),
+                                       owner.begin() +
+                                           static_cast<long>(survivors));
+        for (size_t i = 0; i < population.size(); ++i) {
+            if (auto mutant = policies[owner[i]].mutate(population[i], rng)) {
                 next.push_back(std::move(*mutant));
+                next_owner.push_back(owner[i]);
+            }
         }
         population = std::move(next);
+        owner = std::move(next_owner);
     }
     const auto stats = cached.cacheStats();
     EXPECT_GT(stats.score_hits, 0u);     // survivors + in-batch dups

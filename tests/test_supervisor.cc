@@ -592,17 +592,37 @@ TEST(Supervisor, CleanTlpTrainingIsBitIdenticalToUnsupervised)
     const auto set =
         syntheticSet(32, config.seq_len * config.emb_size, 37);
 
-    auto train = [&](bool supervised) {
+    // Fine-tuning and both pretraining pretexts share one training loop;
+    // each must come out of a clean supervised run unchanged.
+    enum class Trainer { Tlp, Gpt, Bert };
+    auto train = [&](Trainer trainer, bool supervised) {
         Rng rng(8);
         TlpNet net(config, rng);
-        TrainOptions options;
-        options.epochs = 2;
-        options.batch_size = 16;
-        options.supervisor.enabled = supervised;
-        trainTlpNet(net, set, options);
-        return parameterValues(net);
+        double loss = 0.0;
+        if (trainer == Trainer::Tlp) {
+            TrainOptions options;
+            options.epochs = 2;
+            options.batch_size = 16;
+            options.supervisor.enabled = supervised;
+            loss = trainTlpNet(net, set, options);
+        } else {
+            PretrainOptions options;
+            options.epochs = 2;
+            options.batch_size = 12;
+            options.supervisor.enabled = supervised;
+            loss = trainer == Trainer::Gpt ? gptPretrain(net, set, options)
+                                           : bertPretrain(net, set, options);
+        }
+        return std::make_pair(loss, parameterValues(net));
     };
-    EXPECT_EQ(train(false), train(true));
+    for (Trainer trainer : {Trainer::Tlp, Trainer::Gpt, Trainer::Bert}) {
+        const auto plain = train(trainer, false);
+        const auto supervised = train(trainer, true);
+        EXPECT_DOUBLE_EQ(plain.first, supervised.first)
+            << static_cast<int>(trainer);
+        EXPECT_EQ(plain.second, supervised.second)
+            << static_cast<int>(trainer);
+    }
 }
 
 // --- the guarded cost-model ladder ---------------------------------------
