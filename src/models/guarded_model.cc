@@ -82,9 +82,12 @@ GuardedCostModel::failover(HealthEvent cause)
         return; // last rung: nothing left to fail over to
     ++active_;
     health_[HealthEvent::Failover]++;
-    warn("cost model '", ladder_[static_cast<size_t>(active_ - 1)]->name(),
+    // Rung indices tell the rungs apart: a fault-injected rung reports
+    // its wrapped model's name().
+    warn("cost model rung ", active_ - 1, " '",
+         ladder_[static_cast<size_t>(active_ - 1)]->name(),
          "' quarantined (", healthEventName(cause), "); search continues "
-         "with '", activeName(), "'");
+         "with rung ", active_, " '", activeName(), "'");
     publishHealth();
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 
 #include "support/arena.h"
 #include "support/thread_pool.h"
@@ -10,13 +11,13 @@ namespace tlp::nn::kern {
 
 namespace {
 
-/** Float lanes in one gemmRows column panel (a 256-bit vector). */
+/** Float lanes in one column panel (a 256-bit vector). */
 constexpr int64_t kLanes = 8;
 
 /** One column panel of C (or B) held in a vector register. */
 typedef float Lanes __attribute__((vector_size(kLanes * sizeof(float))));
 
-/** C rows gemmRows keeps in registers together (B panel reuse). */
+/** Output rows a micro-kernel keeps in registers together (panel reuse). */
 constexpr int kRowBlock = 6;
 
 /** B rows per zero-padded pack of gemmRows' last n % kLanes columns. */
@@ -72,11 +73,82 @@ gemmFullPanels(const float *TLP_RESTRICT a, const float *TLP_RESTRICT b,
         gemmPanel<Rows, 1>(a, k, b + j, n, k, c + j, n, kLanes, false);
 }
 
-/** I-block size for the transposed update (dC panel reuse). */
-constexpr int64_t kIBlock = 64;
+/**
+ * One block of a backward product: C[Rows, width] accumulates
+ * a[r * a_row + t * a_red] * b[t * ldb + .] for t = 0, 1, ... len-1 in
+ * order, with Rows rows times Panels vector panels of C in registers
+ * across the whole reduction. With @p AddOnce every chain starts at 0
+ * and its total is added to C once (GA += GC * B^T); otherwise it
+ * starts from the value C holds and is stored back (GB += A^T * GC),
+ * so a reduction split into consecutive calls continues one chain.
+ * Only the first @p width columns of C are read or written; B holds
+ * whole panels (zero-padded past @p width).
+ */
+template <int Rows, int Panels, bool AddOnce>
+inline void
+gradPanel(const float *TLP_RESTRICT a, int64_t a_row, int64_t a_red,
+          const float *TLP_RESTRICT b, int64_t ldb, int64_t len,
+          float *TLP_RESTRICT c, int64_t ldc, int64_t width)
+{
+    Lanes acc[Rows][Panels] = {};
+    if (!AddOnce) {
+        for (int r = 0; r < Rows; ++r)
+            std::memcpy(acc[r], c + r * ldc,
+                        static_cast<size_t>(width) * sizeof(float));
+    }
+    for (int64_t t = 0; t < len; ++t) {
+        Lanes bv[Panels];
+        std::memcpy(bv, b + t * ldb, sizeof(bv));
+        for (int r = 0; r < Rows; ++r) {
+            const float av = a[r * a_row + t * a_red];
+            for (int v = 0; v < Panels; ++v)
+                acc[r][v] += av * bv[v];
+        }
+    }
+    for (int r = 0; r < Rows; ++r) {
+        if (AddOnce) {
+            float total[Panels * kLanes];
+            std::memcpy(total, acc[r], sizeof(total));
+            for (int64_t l = 0; l < width; ++l)
+                c[r * ldc + l] += total[l];
+        } else {
+            std::memcpy(c + r * ldc, acc[r],
+                        static_cast<size_t>(width) * sizeof(float));
+        }
+    }
+}
 
-/** P-block width of the packed transposed update (stack accumulators). */
-constexpr int64_t kPBlock = 256;
+/**
+ * fn(std::integral_constant<int, Rows>, i) over [i0, i1): blocks of
+ * kRowBlock rows, then one block of the remaining rows.
+ */
+template <typename Fn>
+inline void
+forRowBlocks(int64_t i0, int64_t i1, Fn &&fn)
+{
+    static_assert(kRowBlock == 6, "forRowBlocks handles 1-5 left over");
+    int64_t i = i0;
+    for (; i + kRowBlock <= i1; i += kRowBlock)
+        fn(std::integral_constant<int, kRowBlock>(), i);
+    switch (i1 - i) {
+    case 5: fn(std::integral_constant<int, 5>(), i); break;
+    case 4: fn(std::integral_constant<int, 4>(), i); break;
+    case 3: fn(std::integral_constant<int, 3>(), i); break;
+    case 2: fn(std::integral_constant<int, 2>(), i); break;
+    case 1: fn(std::integral_constant<int, 1>(), i); break;
+    default: break;
+    }
+}
+
+/** @p count rounded up to whole panels. */
+constexpr int64_t
+wholePanels(int64_t count)
+{
+    return (count + kLanes - 1) / kLanes * kLanes;
+}
+
+/** Rows of A^T * GC reduced per pass (an A and a GC block stay in L2). */
+constexpr int64_t kTnRowBlock = 128;
 
 /**
  * Scratch for @p count floats from the calling thread's arena, valid
@@ -91,89 +163,98 @@ threadScratch(int64_t count)
     return scratch.allocFloats(static_cast<size_t>(count));
 }
 
-/** BT[n, k] = B[k, n]^T. */
+/** BT[n, wholePanels(k)] = B[k, n]^T, zero past column k. */
 void
 packTransposed(const float *TLP_RESTRICT b, float *TLP_RESTRICT bt,
                int64_t k, int64_t n)
 {
+    const int64_t kp = wholePanels(k);
     for (int64_t p = 0; p < k; ++p)
         for (int64_t j = 0; j < n; ++j)
-            bt[j * k + p] = b[p * n + j];
+            bt[j * kp + p] = b[p * n + j];
+    for (int64_t j = 0; j < n; ++j)
+        std::fill(bt + j * kp + k, bt + (j + 1) * kp, 0.0f);
+}
+
+/**
+ * TAIL[m, kLanes] = the last n % kLanes columns of GC[m, n], zero
+ * past them (0 floats when n is a whole number of panels).
+ */
+void
+packTail(const float *TLP_RESTRICT gc, float *TLP_RESTRICT tail,
+         int64_t m, int64_t n)
+{
+    const int64_t rest = n % kLanes;
+    if (rest == 0)
+        return;
+    std::fill(tail, tail + m * kLanes, 0.0f);
+    for (int64_t i = 0; i < m; ++i)
+        std::copy_n(gc + i * n + n - rest, rest, tail + i * kLanes);
+}
+
+/** Floats packTail writes for an [m, n] GC. */
+int64_t
+tailFloats(int64_t m, int64_t n)
+{
+    return n % kLanes == 0 ? 0 : m * kLanes;
 }
 
 /**
  * Serial micro-kernel: GA rows [i0, i1) of GA += GC * B^T, with B^T
- * packed as bt[n, k]. Per (i, p) the j sum starts from 0 and runs in
- * ascending order, then lands on GA once; the p loop is innermost, an
- * axpy over a contiguous bt row that the compiler vectorises.
+ * packed by packTransposed. Per (i, p) the j sum starts from 0, runs
+ * j = 0, 1, ... n-1, and lands on GA once.
  */
 void
-gemmNTPackedRows(const float *TLP_RESTRICT gc, const float *TLP_RESTRICT bt,
-                 float *TLP_RESTRICT ga, int64_t i0, int64_t i1, int64_t k,
-                 int64_t n)
+gemmNTRows(const float *TLP_RESTRICT gc, const float *TLP_RESTRICT bt,
+           float *TLP_RESTRICT ga, int64_t i0, int64_t i1, int64_t k,
+           int64_t n)
 {
-    float acc[kPBlock];
-    for (int64_t i = i0; i < i1; ++i) {
-        const float *gcrow = gc + i * n;
-        float *TLP_RESTRICT garow = ga + i * k;
-        for (int64_t p0 = 0; p0 < k; p0 += kPBlock) {
-            const int64_t width = std::min(kPBlock, k - p0);
-            std::fill(acc, acc + width, 0.0f);
-            for (int64_t j = 0; j < n; ++j) {
-                const float g = gcrow[j];
-                const float *TLP_RESTRICT btrow = bt + j * k + p0;
-                for (int64_t p = 0; p < width; ++p)
-                    acc[p] += g * btrow[p];
-            }
-            for (int64_t p = 0; p < width; ++p)
-                garow[p0 + p] += acc[p];
-        }
-    }
+    const int64_t kp = wholePanels(k);
+    forRowBlocks(i0, i1, [&](auto rows, int64_t i) {
+        constexpr int Rows = decltype(rows)::value;
+        const float *gcrows = gc + i * n;
+        float *garows = ga + i * k;
+        int64_t p = 0;
+        for (; p + 2 * kLanes <= kp; p += 2 * kLanes)
+            gradPanel<Rows, 2, true>(gcrows, n, 1, bt + p, kp, n,
+                                     garows + p, k,
+                                     std::min(2 * kLanes, k - p));
+        for (; p < kp; p += kLanes)
+            gradPanel<Rows, 1, true>(gcrows, n, 1, bt + p, kp, n,
+                                     garows + p, k, std::min(kLanes, k - p));
+    });
 }
 
 /**
- * Serial micro-kernel: GB rows [p0, p1) of GB += A^T * GC, i-blocked.
- * Per (p, j) the i accumulation order is globally increasing, matching
- * the naive i-outer loop it replaced.
+ * Serial micro-kernel: GB rows [p0, p1) of GB += A^T * GC, with GC's
+ * last n % kLanes columns packed by packTail. Per (p, j) the chain
+ * starts from GB's value and takes i = 0, 1, ... m-1 in order,
+ * kTnRowBlock rows per pass.
  */
 void
 gemmTNRows(const float *TLP_RESTRICT a, const float *TLP_RESTRICT gc,
-           float *TLP_RESTRICT gb, int64_t p0, int64_t p1, int64_t m,
-           int64_t k, int64_t n)
+           const float *TLP_RESTRICT tail, float *TLP_RESTRICT gb,
+           int64_t p0, int64_t p1, int64_t m, int64_t k, int64_t n)
 {
-    for (int64_t i0 = 0; i0 < m; i0 += kIBlock) {
-        const int64_t i1 = std::min(m, i0 + kIBlock);
-        for (int64_t p = p0; p < p1; ++p) {
-            float *TLP_RESTRICT gbrow = gb + p * n;
-            int64_t i = i0;
-            for (; i + 4 <= i1; i += 4) {
-                const float a0 = a[(i + 0) * k + p];
-                const float a1 = a[(i + 1) * k + p];
-                const float a2 = a[(i + 2) * k + p];
-                const float a3 = a[(i + 3) * k + p];
-                const float *g0 = gc + (i + 0) * n;
-                const float *g1 = gc + (i + 1) * n;
-                const float *g2 = gc + (i + 2) * n;
-                const float *g3 = gc + (i + 3) * n;
-                // One sequential accumulator chain per element: the
-                // float addition order is exactly the unrolled-by-1
-                // loop's, just with the gbrow load/store hoisted.
-                for (int64_t j = 0; j < n; ++j) {
-                    float acc = gbrow[j];
-                    acc += a0 * g0[j];
-                    acc += a1 * g1[j];
-                    acc += a2 * g2[j];
-                    acc += a3 * g3[j];
-                    gbrow[j] = acc;
-                }
-            }
-            for (; i < i1; ++i) {
-                const float aval = a[i * k + p];
-                const float *gcrow = gc + i * n;
-                for (int64_t j = 0; j < n; ++j)
-                    gbrow[j] += aval * gcrow[j];
-            }
-        }
+    const int64_t full = n - n % kLanes;
+    for (int64_t i0 = 0; i0 < m; i0 += kTnRowBlock) {
+        const int64_t len = std::min(kTnRowBlock, m - i0);
+        forRowBlocks(p0, p1, [&](auto rows, int64_t p) {
+            constexpr int Rows = decltype(rows)::value;
+            const float *acols = a + i0 * k + p;
+            float *gbrows = gb + p * n;
+            int64_t j = 0;
+            for (; j + 2 * kLanes <= full; j += 2 * kLanes)
+                gradPanel<Rows, 2, false>(acols, 1, k, gc + i0 * n + j, n,
+                                          len, gbrows + j, n, 2 * kLanes);
+            for (; j < full; j += kLanes)
+                gradPanel<Rows, 1, false>(acols, 1, k, gc + i0 * n + j, n,
+                                          len, gbrows + j, n, kLanes);
+            if (full < n)
+                gradPanel<Rows, 1, false>(acols, 1, k, tail + i0 * kLanes,
+                                          kLanes, len, gbrows + full, n,
+                                          n - full);
+        });
     }
 }
 
@@ -236,11 +317,11 @@ void
 gemmNT(const float *gc, const float *b, float *ga, int64_t m, int64_t k,
        int64_t n)
 {
-    float *bt = threadScratch(k * n);
+    float *bt = threadScratch(n * wholePanels(k));
     packTransposed(b, bt, k, n);
     ThreadPool::global().parallelFor(
         0, m, rowGrain(k * n), [&](int64_t i0, int64_t i1) {
-            gemmNTPackedRows(gc, bt, ga, i0, i1, k, n);
+            gemmNTRows(gc, bt, ga, i0, i1, k, n);
         });
 }
 
@@ -248,9 +329,11 @@ void
 gemmTN(const float *a, const float *gc, float *gb, int64_t m, int64_t k,
        int64_t n)
 {
+    float *tail = threadScratch(tailFloats(m, n));
+    packTail(gc, tail, m, n);
     ThreadPool::global().parallelFor(
         0, k, rowGrain(m * n), [&](int64_t p0, int64_t p1) {
-            gemmTNRows(a, gc, gb, p0, p1, m, k, n);
+            gemmTNRows(a, gc, tail, gb, p0, p1, m, k, n);
         });
 }
 
@@ -274,11 +357,10 @@ bmmNT(const float *gc, const float *b, float *ga, int64_t batch, int64_t m,
     ThreadPool::global().parallelFor(
         0, batch, rowGrain(m * k * n), [&](int64_t s0, int64_t s1) {
             // Each worker packs B[s]^T into its own scratch.
-            float *bt = threadScratch(k * n);
+            float *bt = threadScratch(n * wholePanels(k));
             for (int64_t s = s0; s < s1; ++s) {
                 packTransposed(b + s * k * n, bt, k, n);
-                gemmNTPackedRows(gc + s * m * n, bt, ga + s * m * k, 0, m,
-                                 k, n);
+                gemmNTRows(gc + s * m * n, bt, ga + s * m * k, 0, m, k, n);
             }
         });
 }
@@ -289,9 +371,12 @@ bmmTN(const float *a, const float *gc, float *gb, int64_t batch, int64_t m,
 {
     ThreadPool::global().parallelFor(
         0, batch, rowGrain(m * k * n), [&](int64_t s0, int64_t s1) {
+            // Each worker packs GC[s]'s last columns into its own scratch.
+            float *tail = threadScratch(tailFloats(m, n));
             for (int64_t s = s0; s < s1; ++s) {
-                gemmTNRows(a + s * m * k, gc + s * m * n, gb + s * k * n,
-                           0, k, m, k, n);
+                packTail(gc + s * m * n, tail, m, n);
+                gemmTNRows(a + s * m * k, gc + s * m * n, tail,
+                           gb + s * k * n, 0, k, m, k, n);
             }
         });
 }

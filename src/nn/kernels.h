@@ -1,6 +1,6 @@
 /**
  * @file
- * Cache-blocked, thread-parallel compute kernels under the autograd ops.
+ * Register-blocked, thread-parallel compute kernels under the autograd ops.
  *
  * Every kernel distributes disjoint output row (or batch) ranges across
  * the global ThreadPool and gives each output element a fixed
@@ -9,21 +9,28 @@
  * exactly one thread — so results are bit-identical for any thread
  * count (no atomics, no cross-thread reductions).
  *
- * gemm/gemmTN keep the per-element order of the naive i-k-j loops they
- * replaced, with a single sequential accumulator chain per output
- * element and `__restrict`-qualified operands (they never alias).
- * gemmRows is register-blocked: six C rows times one or two vector
- * panels of columns stay in registers across the whole k loop, and the
- * last n % 8 columns run through the same panel code on a zero-padded
- * packed copy of B. gemmTN unrolls its i panel four-wide instead.
+ * All six products are register-blocked: up to six output rows times
+ * one or two 8-lane vector panels of columns stay in registers across
+ * the whole reduction, and a row count that is not a multiple of six
+ * ends in one block of the remaining rows. Each output element keeps
+ * the single accumulation chain of the naive loop it replaces:
  *
- * gemmNT/bmmNT (dA = dC * B^T) pack B^T once per call (per batch entry
- * for bmmNT) into the calling thread's arena scratch. Each GA(i, p)
- * then sums j = 0, 1, ... n-1 from zero and adds the total to GA once,
- * with the p loop innermost as a vectorisable axpy over a packed row.
- * The order is fixed, so the contract above holds; the bits still
- * depend on where the compiler contracts multiply-adds into FMAs, so a
- * dot-product loop over the same j order does not reproduce them.
+ * - gemm/bmm (gemmRows): C(i, j) starts at 0 and sums p = 0, 1, ...
+ *   k-1; the last n % 8 columns run on a zero-padded pack of B.
+ * - gemmNT/bmmNT (dA = dC * B^T): B^T is packed once per call (per
+ *   batch entry for bmmNT) into the calling thread's arena scratch,
+ *   zero-padded to whole panels, so attention's head dim of 8 is one
+ *   panel. GA(i, p) sums j = 0, 1, ... n-1 from 0 and the total is
+ *   added to GA once.
+ * - gemmTN/bmmTN (dB = A^T * dC): A^T's rows are read from A's columns
+ *   in place, and dC's last n % 8 columns are packed zero-padded.
+ *   GB(p, j) starts from its stored value and sums i = 0, 1, ... m-1,
+ *   a block of A's rows per pass; storing and reloading a float is
+ *   exact, so the passes form one chain.
+ *
+ * The order is fixed, so the contract above holds. The bits still
+ * depend on where the compiler contracts multiply-adds into FMAs, so
+ * the same sum written as a different loop need not reproduce them.
  *
  * The forward micro-kernels (gemmRows / bmm's per-batch body) are
  * exported and marked noinline: the fused inference path (nn/infer_ops,

@@ -68,18 +68,7 @@ Linear::Linear(int in_features, int out_features, Rng &rng)
 Tensor
 Linear::forward(const Tensor &x)
 {
-    const auto &shape = x.shape();
-    TLP_CHECK(shape.back() == in_, "linear input width mismatch: got ",
-              shape.back(), ", want ", in_);
-    if (shape.size() == 2)
-        return addBias(matmul(x, weight_), bias_);
-    // Flatten leading dims, multiply, restore.
-    const int rows = static_cast<int>(x.numel() / in_);
-    Tensor flat = reshape(x, {rows, in_});
-    Tensor out = addBias(matmul(flat, weight_), bias_);
-    std::vector<int> out_shape = shape;
-    out_shape.back() = out_;
-    return reshape(out, out_shape);
+    return linear(x, weight_, bias_);
 }
 
 std::vector<Tensor>
@@ -121,18 +110,10 @@ MultiHeadSelfAttention::MultiHeadSelfAttention(int model_dim, int heads,
 Tensor
 MultiHeadSelfAttention::forward(const Tensor &x, bool causal)
 {
-    const int n = x.dim(0), l = x.dim(1);
     const int hd = dim_ / heads_;
-
-    auto split = [&](Tensor t) {
-        // [N, L, D] -> [N, H, L, hd] -> [N*H, L, hd]
-        t = reshape(t, {n, l, heads_, hd});
-        t = permute0213(t);
-        return reshape(t, {n * heads_, l, hd});
-    };
-    Tensor q = split(q_.forward(x));
-    Tensor k = split(k_.forward(x));
-    Tensor v = split(v_.forward(x));
+    Tensor q = splitHeads(q_.forward(x), heads_);   // [N*H, L, hd]
+    Tensor k = splitHeads(k_.forward(x), heads_);
+    Tensor v = splitHeads(v_.forward(x), heads_);
 
     Tensor scores = bmm(q, transposeLast2(k));
     scores = scale(scores, 1.0f / std::sqrt(static_cast<float>(hd)));
@@ -140,10 +121,7 @@ MultiHeadSelfAttention::forward(const Tensor &x, bool causal)
                           : softmaxLastDim(scores);
     Tensor ctx = bmm(probs, v);                    // [N*H, L, hd]
 
-    ctx = reshape(ctx, {n, heads_, l, hd});
-    ctx = permute0213(ctx);                        // [N, L, H, hd]
-    ctx = reshape(ctx, {n, l, dim_});
-    Tensor out = out_.forward(ctx);
+    Tensor out = out_.forward(mergeHeads(ctx, heads_));   // [N, L, D]
     return norm_.forward(add(out, x));             // residual + layer norm
 }
 

@@ -207,6 +207,48 @@ matmul(const Tensor &a, const Tensor &b)
 }
 
 Tensor
+linear(const Tensor &x, const Tensor &weight, const Tensor &bias)
+{
+    TLP_CHECK(weight.shape().size() == 2 && bias.shape().size() == 1,
+              "linear expects a rank-2 weight and a 1-D bias");
+    const auto [rows, k] = rowsCols(x.shape());
+    const int64_t n = weight.dim(1);
+    TLP_CHECK(weight.dim(0) == k, "linear input width mismatch: got ", k,
+              ", want ", weight.dim(0));
+    TLP_CHECK(bias.numel() == n, "bias width mismatch");
+    std::vector<int> shape = x.shape();
+    shape.back() = static_cast<int>(n);
+    auto node = makeNode(std::move(shape),
+                         {x.node(), weight.node(), bias.node()});
+    float *out = node->value.data();
+    kern::gemm(x.value().data(), weight.value().data(), out, rows, k, n);
+    const float *bv = bias.value().data();
+    parallelRows(rows, n, [=](int64_t r0, int64_t r1) {
+        iops::addBiasRows(out, bv, out, r0, r1, n);
+    });
+    node->backward_fn = [rows, k, n](Node &self) {
+        float *gx = gradOrNull(*self.parents[0]);
+        float *gw = gradOrNull(*self.parents[1]);
+        float *gb = gradOrNull(*self.parents[2]);
+        const float *g = self.grad.data();
+        if (gb != nullptr) {
+            // Per column, rows in the serial 0..rows order (addBias's).
+            ThreadPool::global().parallelFor(
+                0, n, kern::rowGrain(rows), [=](int64_t c0, int64_t c1) {
+                    for (int64_t r = 0; r < rows; ++r)
+                        for (int64_t c = c0; c < c1; ++c)
+                            gb[c] += g[r * n + c];
+                });
+        }
+        if (gx != nullptr)   // dX += dY * W^T
+            kern::gemmNT(g, self.parents[1]->value.data(), gx, rows, k, n);
+        if (gw != nullptr)   // dW += X^T * dY
+            kern::gemmTN(self.parents[0]->value.data(), g, gw, rows, k, n);
+    };
+    return Tensor::fromNode(std::move(node));
+}
+
+Tensor
 bmm(const Tensor &a, const Tensor &b)
 {
     TLP_CHECK(a.shape().size() == 3 && b.shape().size() == 3,
@@ -246,8 +288,11 @@ relu(const Tensor &x)
         float *gx = self.parents[0]->grad.data();
         const float *xv = self.parents[0]->value.data();
         const float *g = self.grad.data();
+        // Read g[i] unconditionally: a load under the condition keeps
+        // the loop scalar, branching on each input's sign.
         parallelMap(self.numel(), kCheapGrain, [=](int64_t i) {
-            gx[i] += xv[i] > 0.0f ? g[i] : 0.0f;
+            const float gi = g[i];
+            gx[i] += xv[i] > 0.0f ? gi : 0.0f;
         });
     };
     return Tensor::fromNode(std::move(node));
@@ -424,14 +469,20 @@ transposeLast2(const Tensor &x)
     return Tensor::fromNode(std::move(node));
 }
 
+namespace {
+
+/**
+ * x viewed as [a, b, c, d], permuted to [a, c, b, d] and labelled
+ * @p shape: one copy forward, one scatter-add backward.
+ */
 Tensor
-permute0213(const Tensor &x)
+swapAxes12(const Tensor &x, int64_t a, int64_t b, int64_t c, int64_t d,
+           std::vector<int> shape)
 {
-    const auto &shape = x.shape();
-    TLP_CHECK(shape.size() == 4, "permute0213 needs rank 4");
-    const int64_t a = shape[0], b = shape[1], c = shape[2], d = shape[3];
-    auto node = makeNode({shape[0], shape[2], shape[1], shape[3]},
-                         {x.node()});
+    TLP_CHECK(a * b * c * d == x.numel() &&
+                  shapeNumel(shape) == x.numel(),
+              "axis swap changes element count");
+    auto node = makeNode(std::move(shape), {x.node()});
     const float *xv = x.value().data();
     float *outv = node->value.data();
     ThreadPool::global().parallelFor(
@@ -464,6 +515,35 @@ permute0213(const Tensor &x)
             });
     };
     return Tensor::fromNode(std::move(node));
+}
+
+} // namespace
+
+Tensor
+permute0213(const Tensor &x)
+{
+    const auto &shape = x.shape();
+    TLP_CHECK(shape.size() == 4, "permute0213 needs rank 4");
+    return swapAxes12(x, shape[0], shape[1], shape[2], shape[3],
+                      {shape[0], shape[2], shape[1], shape[3]});
+}
+
+Tensor
+splitHeads(const Tensor &x, int heads)
+{
+    TLP_CHECK(x.shape().size() == 3 && x.dim(2) % heads == 0,
+              "splitHeads needs [N, L, H * hd]");
+    const int n = x.dim(0), l = x.dim(1), hd = x.dim(2) / heads;
+    return swapAxes12(x, n, l, heads, hd, {n * heads, l, hd});
+}
+
+Tensor
+mergeHeads(const Tensor &x, int heads)
+{
+    TLP_CHECK(x.shape().size() == 3 && x.dim(0) % heads == 0,
+              "mergeHeads needs [N * H, L, hd]");
+    const int n = x.dim(0) / heads, l = x.dim(1), hd = x.dim(2);
+    return swapAxes12(x, n, heads, l, hd, {n, l, heads * hd});
 }
 
 Tensor

@@ -27,6 +27,13 @@ Tensor scale(const Tensor &x, float factor);
 /** Matrix product: [m, k] x [k, n] -> [m, n]. */
 Tensor matmul(const Tensor &a, const Tensor &b);
 
+/**
+ * Affine map over the last axis: x [..., in] W [in, out] + bias [out]
+ * -> [..., out], one node. Bitwise equal, value and every grad, to
+ * reshape -> matmul -> addBias -> reshape.
+ */
+Tensor linear(const Tensor &x, const Tensor &weight, const Tensor &bias);
+
 /** Batched matrix product: [B, m, k] x [B, k, n] -> [B, m, n]. */
 Tensor bmm(const Tensor &a, const Tensor &b);
 
@@ -54,6 +61,18 @@ Tensor transposeLast2(const Tensor &x);
 
 /** Permute a rank-4 tensor [a, b, c, d] -> [a, c, b, d]. */
 Tensor permute0213(const Tensor &x);
+
+/**
+ * Attention head split [N, L, H * hd] -> [N * H, L, hd], one node:
+ * reshape -> permute0213 -> reshape, bit for bit.
+ */
+Tensor splitHeads(const Tensor &x, int heads);
+
+/**
+ * Attention head merge [N * H, L, hd] -> [N, L, H * hd], one node; the
+ * inverse of splitHeads.
+ */
+Tensor mergeHeads(const Tensor &x, int heads);
 
 /** Reshape (copying view). */
 Tensor reshape(const Tensor &x, const std::vector<int> &shape);

@@ -302,6 +302,142 @@ TEST(Ops, GradAddBiasAndReshape)
     });
 }
 
+/** True when @p a and @p b hold the same floats, bit for bit. */
+bool
+sameBits(const std::vector<float> &a, const std::vector<float> &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/** A leaf's shape and its values. */
+struct LeafSpec
+{
+    std::vector<int> shape;
+    std::vector<float> values;
+};
+
+LeafSpec
+randomLeaf(std::vector<int> shape, Rng &rng)
+{
+    std::vector<float> values(static_cast<size_t>(shapeNumel(shape)));
+    for (float &v : values)
+        v = static_cast<float>(rng.uniform(-1.0, 1.0));
+    return {std::move(shape), std::move(values)};
+}
+
+/**
+ * y = f(leaves) on fresh leaves built from @p spec, twice, each time
+ * with loss sum(y * r) + sum(leaves[0] * r0) for fixed random r, r0:
+ * the first leaf's grad takes two contributions, and the second
+ * backward adds to grads that already hold values. Returns both values
+ * of y and then every leaf's grad.
+ */
+std::vector<std::vector<float>>
+twoBackwardPasses(const std::vector<LeafSpec> &spec,
+                  const std::function<Tensor(const std::vector<Tensor> &)>
+                      &f)
+{
+    std::vector<Tensor> leaves;
+    for (const LeafSpec &leaf : spec)
+        leaves.push_back(Tensor::fromData(leaf.shape, leaf.values, true));
+    std::vector<std::vector<float>> out;
+    for (int pass = 0; pass < 2; ++pass) {
+        Tensor y = f(leaves);
+        Rng rng(77 + static_cast<uint64_t>(pass));
+        const Tensor r = Tensor::randn(y.shape(), rng, 1.0, false);
+        const Tensor r0 = Tensor::randn(spec[0].shape, rng, 1.0, false);
+        add(sumAll(mul(y, r)), sumAll(mul(leaves[0], r0))).backward();
+        out.push_back(y.value());
+    }
+    for (Tensor &leaf : leaves)
+        out.push_back(leaf.grad());
+    return out;
+}
+
+/** Both builders give the same value and leaf grads, bit for bit. */
+void
+expectSameBits(const std::vector<LeafSpec> &spec,
+               const std::function<Tensor(const std::vector<Tensor> &)> &a,
+               const std::function<Tensor(const std::vector<Tensor> &)> &b)
+{
+    const auto got = twoBackwardPasses(spec, a);
+    const auto want = twoBackwardPasses(spec, b);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i)
+        EXPECT_TRUE(sameBits(got[i], want[i]))
+            << (i < 2 ? "value, pass " : "grad of leaf ")
+            << (i < 2 ? i : i - 2);
+}
+
+TEST(Ops, LinearIsBitIdenticalToItsComposition)
+{
+    Rng rng(13);
+    // 21 rows (not a whole row block), 13 -> 10 columns (panel tails).
+    for (std::vector<int> x_shape :
+         {std::vector<int>{3, 7, 13}, std::vector<int>{21, 13}}) {
+        SCOPED_TRACE(::testing::Message() << "rank " << x_shape.size());
+        const std::vector<LeafSpec> spec = {randomLeaf(x_shape, rng),
+                                            randomLeaf({13, 10}, rng),
+                                            randomLeaf({10}, rng)};
+        expectSameBits(
+            spec,
+            [](const std::vector<Tensor> &l) {
+                return linear(l[0], l[1], l[2]);
+            },
+            [&](const std::vector<Tensor> &l) {
+                Tensor flat = reshape(l[0], {21, 13});
+                Tensor y = addBias(matmul(flat, l[1]), l[2]);
+                std::vector<int> y_shape = x_shape;
+                y_shape.back() = 10;
+                return reshape(y, y_shape);
+            });
+    }
+}
+
+TEST(Ops, HeadSplitAndMergeAreBitIdenticalToTheirCompositions)
+{
+    Rng rng(14);
+    const int n = 3, l = 5, heads = 4, hd = 3;
+    expectSameBits(
+        {randomLeaf({n, l, heads * hd}, rng)},
+        [&](const std::vector<Tensor> &x) {
+            return splitHeads(x[0], heads);
+        },
+        [&](const std::vector<Tensor> &x) {
+            Tensor t = reshape(x[0], {n, l, heads, hd});
+            return reshape(permute0213(t), {n * heads, l, hd});
+        });
+    expectSameBits(
+        {randomLeaf({n * heads, l, hd}, rng)},
+        [&](const std::vector<Tensor> &x) {
+            return mergeHeads(x[0], heads);
+        },
+        [&](const std::vector<Tensor> &x) {
+            Tensor t = reshape(x[0], {n, heads, l, hd});
+            return reshape(permute0213(t), {n, l, heads * hd});
+        });
+
+    // Both sides above share one copy body, so check it by index too:
+    // y[b * H + h, t, e] = x[b, t, h * hd + e], and x's grad under
+    // sum(y * r) is exactly the weight r its element meets.
+    Tensor x = Tensor::randn({n, l, heads * hd}, rng, 1.0);
+    Tensor y = splitHeads(x, heads);
+    const Tensor r = Tensor::randn(y.shape(), rng, 1.0, false);
+    sumAll(mul(y, r)).backward();
+    for (int b = 0; b < n; ++b)
+        for (int t = 0; t < l; ++t)
+            for (int h = 0; h < heads; ++h)
+                for (int e = 0; e < hd; ++e) {
+                    const size_t from = static_cast<size_t>(
+                        ((b * l + t) * heads + h) * hd + e);
+                    const size_t to = static_cast<size_t>(
+                        ((b * heads + h) * l + t) * hd + e);
+                    EXPECT_EQ(y.value()[to], x.value()[from]);
+                    EXPECT_EQ(x.grad()[from], r.value()[to]);
+                }
+}
+
 TEST(Ops, DropoutTrainVsEval)
 {
     Rng rng(13);
@@ -510,6 +646,14 @@ const std::vector<KernelShape> kKernelShapes = {
     {1, 1, 7, 3},       // a single row
     {3, 5, 300, 17},    // k wider than one accumulator block
     {1, 13, 300, 9},    // row and column remainders, k over one pack
+    // Remainders of the blocked backward kernels: m (NT rows) and k (TN
+    // rows) modulo the 6-row block, k and n just above multiples of the
+    // 8-lane panel and of the 16-lane wide panel, and m over one TN pass.
+    {2, 6, 40, 33},     // a whole row block; n one over a wide panel
+    {1, 133, 17, 41},   // m % 6 = 1, m over 128; k, n one over 16 and 40
+    {2, 14, 9, 23},     // m % 6 = 2; k one over a panel; n % 8 = 7
+    {1, 9, 33, 10},     // m % 6 = 3; k % 6 = 3 and one over 32
+    {3, 4, 25, 16},     // m % 6 = 4; n one whole wide panel, no tail
 };
 
 std::vector<float>
@@ -783,6 +927,19 @@ TEST(TapePool, AlternatingBatchesRetainNoMoreThanTheFirstStep)
         EXPECT_LE(pool.retainedBytes(), first_bytes) << "step " << step;
         EXPECT_EQ(pool.positions(), first_positions) << "step " << step;
     }
+}
+
+TEST(TapePool, OneStepLendsNoBuffersToCopyOnlyNodes)
+{
+    // Each Linear is one node and each attention head split or merge is
+    // one node, so a step lends 40 buffers (values and grads). As
+    // reshape -> matmul -> addBias -> reshape and reshape -> permute0213
+    // -> reshape chains the same step lent 91.
+    TinyTrainer trainer(32);
+    TapePool pool;
+    pool.restart();
+    trainer.step(kBigBatch);
+    EXPECT_LE(pool.positions(), 40);
 }
 
 TEST(TapePool, TensorKeptPastItsStepStaysValid)

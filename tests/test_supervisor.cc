@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <limits>
 #include <sstream>
+#include <string>
 #include <thread>
 
 #include "ir/model_zoo.h"
@@ -693,9 +694,17 @@ TEST(GuardedModel, FailsOverOnCollapsedScores)
     std::vector<const sched::State *> ptrs{&states[0], &states[1]};
     guarded.update(0, ptrs, {1.0, 2.0});   // trips the injected collapse
 
+    ::testing::internal::CaptureStderr();
     const auto scores = guarded.scoreStates(0, states);
+    const std::string warning = ::testing::internal::GetCapturedStderr();
     EXPECT_EQ(guarded.activeIndex(), 1);
     EXPECT_EQ(guarded.activeName(), "random");
+    // Both rungs are named "random": only the indices tell them apart.
+    EXPECT_NE(warning.find("rung 0 'random' quarantined"), std::string::npos)
+        << warning;
+    EXPECT_NE(warning.find("continues with rung 1 'random'"),
+              std::string::npos)
+        << warning;
     EXPECT_EQ(health[HealthEvent::ConstantScore], 1);
     EXPECT_EQ(health[HealthEvent::Failover], 1);
     ASSERT_EQ(scores.size(), states.size());
