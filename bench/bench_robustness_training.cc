@@ -93,7 +93,6 @@ main()
             model::TrainOptions options;
             options.epochs = static_cast<int>(scaledCount(2, 1));
             options.batch_size = 64;
-            options.supervisor.enabled = true;
             options.supervisor.policy = policy.policy;
             options.supervisor.faults =
                 model::TrainFaultProfile::uniform(rate, 0x6e);
@@ -145,11 +144,9 @@ main()
                                           tune_options);
 
     model::HealthCounters search_health;
-    model::GuardOptions guard_options;
-    guard_options.health_out = &search_health;
     auto sick = std::make_shared<model::FaultInjectedCostModel>(
         std::make_shared<model::AnsorOnlineCostModel>(), 2);
-    auto guarded = model::makeGuardedLadder(sick, guard_options);
+    auto guarded = model::makeGuardedLadder(sick, &search_health);
     const auto degraded = tune::tuneWorkload(slim, hw_platform, *guarded,
                                              tune_options);
 

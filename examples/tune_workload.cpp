@@ -60,7 +60,7 @@ main(int argc, char **argv)
     args.addString("resume", "",
                    "resume from this checkpoint (implies --checkpoint)");
     args.addString("verify-checkpoint", "",
-                   "integrity-check this artifact (any of the five "
+                   "integrity-check this artifact (any of the four "
                    "formats, auto-detected by magic) and exit "
                    "(0 = intact, 3 = damaged)");
     args.addInt("subgraphs", 0,
@@ -88,7 +88,7 @@ main(int argc, char **argv)
 
     // Artifact triage mode: no tuning, just the §8 integrity check with
     // the standard exit-code contract (0 intact, 3 damaged). The audit
-    // module auto-detects the format by magic, so any of the five
+    // module auto-detects the format by magic, so any of the four
     // artifacts (or a curve file) can be handed to the same flag.
     const std::string verify = args.getString("verify-checkpoint");
     if (!verify.empty()) {
@@ -175,14 +175,15 @@ main(int argc, char **argv)
                           train_fault_rate);
             }
             if (args.getBool("supervise") || train_fault_rate > 0.0) {
-                options.supervisor.enabled = true;
+                options.supervisor.policy =
+                    model::RecoveryPolicy::RollbackRetry;
                 options.supervisor.faults =
                     model::TrainFaultProfile::uniform(train_fault_rate);
             }
             model::HealthCounters train_health;
             options.supervisor.health_out = &train_health;
             trainTlpNet(*net, set, options);
-            if (options.supervisor.enabled) {
+            if (options.supervisor.policy != model::RecoveryPolicy::Off) {
                 std::printf("training health: %s\n",
                             train_health.toString().c_str());
             }
@@ -215,9 +216,7 @@ main(int argc, char **argv)
             top = std::make_shared<model::FaultInjectedCostModel>(
                 std::move(top), collapse_after);
         }
-        model::GuardOptions guard_options;
-        guard_options.health_out = &search_health;
-        guarded = model::makeGuardedLadder(std::move(top), guard_options);
+        guarded = model::makeGuardedLadder(std::move(top), &search_health);
     }
 
     tune::TuneOptions options;

@@ -8,17 +8,36 @@
 
 namespace tlp::model {
 
+namespace {
+
+// Health-probe thresholds (DESIGN.md Sec. 10).
+/** Scores spanning less than this over >= kMinProbeCandidates
+ *  candidates count as output collapse. */
+constexpr double kConstantEps = 1e-9;
+/** Collapse and rank correlation are only judged on populations at
+ *  least this large. */
+constexpr size_t kMinProbeCandidates = 8;
+/** The rank-correlation probe runs on every Nth update(). */
+constexpr int64_t kProbeEvery = 4;
+/** Spearman(model scores, -latency) below this floor is sick. */
+constexpr double kRankCorrFloor = -0.2;
+/** Measured records the correlation probe keeps (most recent). */
+constexpr size_t kProbeWindow = 64;
+
+} // namespace
+
 // --- GuardedCostModel ---------------------------------------------------
 
 GuardedCostModel::GuardedCostModel(
-    std::vector<std::shared_ptr<CostModel>> ladder, GuardOptions options)
-    : ladder_(std::move(ladder)), options_(options)
+    std::vector<std::shared_ptr<CostModel>> ladder,
+    HealthCounters *health_out)
+    : ladder_(std::move(ladder)), health_out_(health_out)
 {
     TLP_CHECK(!ladder_.empty(), "guarded ladder must be non-empty");
     for (const auto &model : ladder_)
         TLP_CHECK(model != nullptr, "null rung in guarded ladder");
-    if (options_.health_out != nullptr)
-        health_ = *options_.health_out;
+    if (health_out_ != nullptr)
+        health_ = *health_out_;
 }
 
 std::string
@@ -58,15 +77,13 @@ GuardedCostModel::scoresUnhealthy(const std::vector<double> &scores,
     // Constant-output collapse is only judged on a meaningful population
     // and only once measured feedback exists — online models legitimately
     // return uniform scores before their first fit.
-    if (updates_seen_ > 0 &&
-        scores.size() >=
-            static_cast<size_t>(options_.min_probe_candidates)) {
+    if (updates_seen_ > 0 && scores.size() >= kMinProbeCandidates) {
         double lo = scores[0], hi = scores[0];
         for (double s : scores) {
             lo = std::min(lo, s);
             hi = std::max(hi, s);
         }
-        if (hi - lo < options_.constant_eps) {
+        if (hi - lo < kConstantEps) {
             *event = HealthEvent::ConstantScore;
             return true;
         }
@@ -127,10 +144,8 @@ GuardedCostModel::update(int task_id,
         probe_states_.push_back(*states[i]);
         probe_latencies_.push_back(latency_ms[i]);
     }
-    const size_t window = static_cast<size_t>(
-        std::max(1, options_.probe_window));
-    if (probe_states_.size() > window) {
-        const size_t drop = probe_states_.size() - window;
+    if (probe_states_.size() > kProbeWindow) {
+        const size_t drop = probe_states_.size() - kProbeWindow;
         probe_states_.erase(probe_states_.begin(),
                             probe_states_.begin() +
                                 static_cast<long>(drop));
@@ -143,10 +158,8 @@ GuardedCostModel::update(int task_id,
     // measured states the way the hardware did?
     const bool last_rung =
         active_ + 1 >= static_cast<int>(ladder_.size());
-    if (last_rung || options_.probe_every <= 0 ||
-        updates_seen_ % options_.probe_every != 0 ||
-        probe_states_.size() <
-            static_cast<size_t>(options_.min_probe_candidates)) {
+    if (last_rung || updates_seen_ % kProbeEvery != 0 ||
+        probe_states_.size() < kMinProbeCandidates) {
         publishHealth();
         return;
     }
@@ -163,7 +176,7 @@ GuardedCostModel::update(int task_id,
     for (size_t i = 0; i < probe_latencies_.size(); ++i)
         neg_latency[i] = -probe_latencies_[i];
     const double corr = spearman(scores, neg_latency);
-    if (std::isfinite(corr) && corr < options_.rank_corr_floor)
+    if (std::isfinite(corr) && corr < kRankCorrFloor)
         failover(HealthEvent::LowRankCorrelation);
     publishHealth();
 }
@@ -171,8 +184,8 @@ GuardedCostModel::update(int task_id,
 void
 GuardedCostModel::publishHealth()
 {
-    if (options_.health_out != nullptr)
-        *options_.health_out = health_;
+    if (health_out_ != nullptr)
+        *health_out_ = health_;
 }
 
 void
@@ -303,13 +316,14 @@ FaultInjectedCostModel::deserializeState(BinaryReader &reader)
 
 std::shared_ptr<GuardedCostModel>
 makeGuardedLadder(std::shared_ptr<CostModel> preferred,
-                  GuardOptions options)
+                  HealthCounters *health_out)
 {
     std::vector<std::shared_ptr<CostModel>> ladder;
     ladder.push_back(std::move(preferred));
     ladder.push_back(std::make_shared<AnsorOnlineCostModel>());
     ladder.push_back(std::make_shared<RandomCostModel>());
-    return std::make_shared<GuardedCostModel>(std::move(ladder), options);
+    return std::make_shared<GuardedCostModel>(std::move(ladder),
+                                              health_out);
 }
 
 } // namespace tlp::model

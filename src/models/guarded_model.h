@@ -28,24 +28,6 @@
 
 namespace tlp::model {
 
-/** GuardedCostModel knobs. */
-struct GuardOptions
-{
-    /** Scores spanning less than this over >= min_probe_candidates
-     *  candidates count as output collapse. */
-    double constant_eps = 1e-9;
-    /** Collapse is only judged on populations at least this large. */
-    int min_probe_candidates = 8;
-    /** Rank-correlation probe cadence: every Nth update() (0 = off). */
-    int probe_every = 4;
-    /** Spearman(model scores, -latency) below this floor is sick. */
-    double rank_corr_floor = -0.2;
-    /** Measured records the correlation probe keeps (most recent). */
-    int probe_window = 64;
-    /** Where health counters accumulate (optional, caller-owned). */
-    HealthCounters *health_out = nullptr;
-};
-
 /**
  * A cost model that survives its own members: scores through the active
  * rung of a fallback ladder, failing over on NaN output, constant
@@ -55,9 +37,11 @@ class GuardedCostModel : public CostModel
 {
   public:
     /** @p ladder is tried in order; must be non-empty. The last rung is
-     *  trusted unconditionally (nothing to fail over to). */
-    GuardedCostModel(std::vector<std::shared_ptr<CostModel>> ladder,
-                     GuardOptions options = {});
+     *  trusted unconditionally (nothing to fail over to). Health counters
+     *  accumulate into @p health_out when set (caller-owned). */
+    explicit GuardedCostModel(
+        std::vector<std::shared_ptr<CostModel>> ladder,
+        HealthCounters *health_out = nullptr);
 
     /** Stable identity for checkpoint compatibility ("guarded:a>b>c"). */
     std::string name() const override;
@@ -99,11 +83,11 @@ class GuardedCostModel : public CostModel
     /** Advance to the next rung, recording the transition. */
     void failover(HealthEvent cause);
 
-    /** Mirror the counters into options_.health_out (when set). */
+    /** Mirror the counters into health_out_ (when set). */
     void publishHealth();
 
     std::vector<std::shared_ptr<CostModel>> ladder_;
-    GuardOptions options_;
+    HealthCounters *health_out_;
     int active_ = 0;
     int64_t updates_seen_ = 0;
     HealthCounters health_;
@@ -152,6 +136,6 @@ class FaultInjectedCostModel : public CostModel
 /** The standard ladder: @p preferred, then ansor-online, then random. */
 std::shared_ptr<GuardedCostModel>
 makeGuardedLadder(std::shared_ptr<CostModel> preferred,
-                  GuardOptions options = {});
+                  HealthCounters *health_out = nullptr);
 
 } // namespace tlp::model

@@ -28,7 +28,7 @@ struct PretrainOptions
     double mask_prob = 0.15;   ///< BERT row-masking probability
     uint64_t seed = 0x9e7;
     bool verbose = false;
-    /** Training-run supervision (disabled by default). */
+    /** Training-run supervision (off by default). */
     SupervisorOptions supervisor;
 };
 

@@ -1,34 +1,35 @@
 #include "models/supervisor.h"
 
-#include <chrono>
 #include <cmath>
-#include <cstring>
-#include <fstream>
 #include <limits>
 #include <sstream>
-
-#include "support/io_env.h"
 
 namespace tlp::model {
 
 namespace {
 
-constexpr uint32_t kStateTag = sectionTag("STAT");
-constexpr uint32_t kEndTag = sectionTag("TEND");
+// Recovery thresholds (DESIGN.md Sec. 10).
+/** Retry attempts per step before the batch is skipped. */
+constexpr int kMaxRetries = 3;
+/** Learning-rate backoff factor applied on each rollback-retry. */
+constexpr double kLrBackoff = 0.5;
+/** Seed of the deterministic backoff jitter. */
+constexpr uint64_t kBackoffSeed = 0x5afe;
+/** Hard gradient global-norm limit (NaN/Inf is always unhealthy).
+ *  Generous on purpose: OptimConfig::grad_clip handles the routine
+ *  clipping; this catches true explosions. */
+constexpr double kGradNormLimit = 1e6;
+/** Loss EWMA smoothing factor. */
+constexpr double kLossEwmaAlpha = 0.1;
+/** A loss above kDivergenceFactor x EWMA + kDivergenceFloor is
+ *  divergent; the floor keeps tiny early losses from tripping it. */
+constexpr double kDivergenceFactor = 10.0;
+constexpr double kDivergenceFloor = 1.0;
 
 // Stream discriminators of the per-(step, attempt) fault draws, so the
 // nan-grad and loss-spike Bernoullis are independent.
 constexpr uint64_t kStreamNanGrad = 0x6772;   // "gr"
 constexpr uint64_t kStreamLossSpike = 0x6c73; // "ls"
-
-double
-monotonicSeconds()
-{
-    return std::chrono::duration<double>(
-               // tlp-lint: allow(wallclock) -- intentional TrainSupervisor wall-clock budget; never feeds model math (DESIGN.md s10)
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
 
 } // namespace
 
@@ -158,111 +159,14 @@ TrainFaultProfile::draw(int64_t step, int attempt, uint64_t stream,
     return u < prob;
 }
 
-// --- training checkpoints ("TLPT") --------------------------------------
-
-void
-writeTrainCheckpoint(std::ostream &os, const TrainCheckpoint &ckpt)
-{
-    BinaryWriter writer(os);
-    writeHeader(writer, kTrainCheckpointMagic, kTrainCheckpointVersion);
-    writeSection(writer, kStateTag, [&](BinaryWriter &w) {
-        w.writePod<int32_t>(ckpt.epoch);
-        w.writePod<int64_t>(ckpt.steps_done);
-        w.writePod<double>(ckpt.loss_ewma);
-        w.writePod<uint8_t>(ckpt.ewma_ready ? 1 : 0);
-        ckpt.health.serialize(w);
-        w.writePod<uint32_t>(static_cast<uint32_t>(ckpt.params.size()));
-        for (const auto &param : ckpt.params)
-            w.writeVector(param);
-        w.writeString(ckpt.optimizer_state);
-    });
-    writeSectionRaw(writer, kEndTag, "");
-}
-
-Result<TrainCheckpoint>
-loadTrainCheckpoint(std::istream &is)
-{
-    TrainCheckpoint ckpt;
-    const Status status = guardedParse([&] {
-        BinaryReader reader(is);
-        readHeader(reader, kTrainCheckpointMagic, kTrainCheckpointVersion,
-                   kTrainCheckpointVersion);
-        bool seen_state = false;
-        bool seen_end = false;
-        while (!seen_end && reader.remaining() > 0) {
-            Section section = readSection(reader);
-            if (!section.crc_ok) {
-                throw SerializeError(
-                    ErrorCode::Corrupt,
-                    "checksum mismatch in training-checkpoint section " +
-                        sectionTagName(section.tag));
-            }
-            std::istringstream payload(section.payload);
-            BinaryReader body(payload);
-            if (section.tag == kStateTag) {
-                ckpt.epoch = body.readPod<int32_t>();
-                ckpt.steps_done = body.readPod<int64_t>();
-                ckpt.loss_ewma = body.readPod<double>();
-                ckpt.ewma_ready = body.readPod<uint8_t>() != 0;
-                ckpt.health = HealthCounters::deserialize(body);
-                const auto param_count = body.readPod<uint32_t>();
-                if (param_count > body.remaining()) {
-                    throw SerializeError(
-                        ErrorCode::Corrupt,
-                        "training checkpoint advertises " +
-                            std::to_string(param_count) + " parameters");
-                }
-                ckpt.params.reserve(param_count);
-                for (uint32_t p = 0; p < param_count; ++p)
-                    ckpt.params.push_back(body.readVector<float>());
-                ckpt.optimizer_state = body.readString();
-                seen_state = true;
-            } else if (section.tag == kEndTag) {
-                seen_end = true;
-            }
-            // Unknown tags: skipped for forward compatibility.
-        }
-        if (!seen_state || !seen_end) {
-            throw SerializeError(
-                ErrorCode::Truncated,
-                "training checkpoint is missing required sections");
-        }
-    });
-    if (!status.ok())
-        return status;
-    return ckpt;
-}
-
-Result<TrainCheckpoint>
-loadTrainCheckpoint(const std::string &path)
-{
-    const Status injected = IoEnv::global().checkRead(path);
-    if (!injected.ok())
-        return injected;
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
-        return Status::error(ErrorCode::IoError,
-                             "cannot open for read: " + path);
-    }
-    return loadTrainCheckpoint(is);
-}
-
-Status
-verifyTrainCheckpoint(std::istream &is)
-{
-    Result<TrainCheckpoint> result = loadTrainCheckpoint(is);
-    return result.ok() ? Status() : result.status();
-}
-
 // --- TrainSupervisor ----------------------------------------------------
 
 TrainSupervisor::TrainSupervisor(std::vector<nn::Tensor> params,
                                  nn::Adam &adam, SupervisorOptions options)
     : params_(std::move(params)), adam_(adam),
-      options_(std::move(options)), backoff_rng_(options_.seed),
-      start_seconds_(monotonicSeconds())
+      options_(std::move(options)), backoff_rng_(kBackoffSeed)
 {
-    if (options_.enabled)
+    if (options_.policy != RecoveryPolicy::Off)
         takeSnapshot();
     if (options_.health_out != nullptr)
         health_ = *options_.health_out;
@@ -312,7 +216,7 @@ TrainSupervisor::gradsUnhealthy(double *norm_out) const
 StepOutcome
 TrainSupervisor::step(const std::function<double()> &attempt)
 {
-    if (!options_.enabled) {
+    if (options_.policy == RecoveryPolicy::Off) {
         attempt();
         adam_.step();
         ++steps_done_;
@@ -321,25 +225,9 @@ TrainSupervisor::step(const std::function<double()> &attempt)
     if (stopped_)
         return StepOutcome::Stop;
 
-    // Budget watchdogs fire before work is spent on the next step; the
-    // parameters are whatever the last healthy step produced.
-    if (options_.max_steps > 0 && steps_done_ >= options_.max_steps) {
-        health_[HealthEvent::StepBudget]++;
-        stopped_ = true;
-        publishHealth();
-        return StepOutcome::Stop;
-    }
-    if (options_.max_wall_seconds > 0.0 &&
-        monotonicSeconds() - start_seconds_ > options_.max_wall_seconds) {
-        health_[HealthEvent::WallClockBudget]++;
-        stopped_ = true;
-        publishHealth();
-        return StepOutcome::Stop;
-    }
-
     const int64_t step_id = step_serial_++;
     const double schedule_lr = adam_.lr();
-    for (int att = 0; att <= options_.max_retries; ++att) {
+    for (int att = 0; att <= kMaxRetries; ++att) {
         double loss = attempt();
 
         // Deterministic fault injection (off unless a profile is set).
@@ -360,13 +248,13 @@ TrainSupervisor::step(const std::function<double()> &attempt)
         if (!std::isfinite(loss)) {
             problem = HealthEvent::NanLoss;
         } else if (ewma_ready_ &&
-                   loss > options_.loss_divergence_factor * loss_ewma_ +
-                              options_.loss_divergence_floor) {
+                   loss > kDivergenceFactor * loss_ewma_ +
+                              kDivergenceFloor) {
             problem = HealthEvent::LossDivergence;
         } else if (gradsUnhealthy(&grad_norm)) {
             problem = HealthEvent::NanGrad;
         } else if (!std::isfinite(grad_norm) ||
-                   grad_norm > options_.grad_norm_limit) {
+                   grad_norm > kGradNormLimit) {
             problem = HealthEvent::GradExplosion;
         }
 
@@ -374,11 +262,10 @@ TrainSupervisor::step(const std::function<double()> &attempt)
             adam_.step();
             adam_.setLr(schedule_lr); // backoff is per-step, not sticky
             loss_ewma_ = ewma_ready_
-                             ? (1.0 - options_.loss_ewma_alpha) * loss_ewma_ +
-                                   options_.loss_ewma_alpha * loss
+                             ? (1.0 - kLossEwmaAlpha) * loss_ewma_ +
+                                   kLossEwmaAlpha * loss
                              : loss;
             ewma_ready_ = true;
-            last_loss_ = loss;
             ++steps_done_;
             takeSnapshot();
             publishHealth();
@@ -395,7 +282,7 @@ TrainSupervisor::step(const std::function<double()> &attempt)
             publishHealth();
             return StepOutcome::Stop;
         }
-        if (att == options_.max_retries) {
+        if (att == kMaxRetries) {
             health_[HealthEvent::RetryExhausted]++;
             adam_.setLr(schedule_lr);
             publishHealth();
@@ -404,10 +291,9 @@ TrainSupervisor::step(const std::function<double()> &attempt)
         // Seeded learning-rate backoff with mild jitter so retries of a
         // genuinely borderline step explore slightly different updates.
         const double jitter = backoff_rng_.uniform(0.9, 1.0);
-        adam_.setLr(schedule_lr *
-                    std::pow(options_.lr_backoff, att + 1) * jitter);
+        adam_.setLr(schedule_lr * std::pow(kLrBackoff, att + 1) * jitter);
     }
-    // tlp-lint: allow(loader-fatal) -- internal invariant in training logic, unreachable from artifact bytes; checkpoint parsing is guardedParse
+    // tlp-lint: allow(loader-fatal) -- internal invariant in training logic, unreachable from artifact bytes; counter parsing throws SerializeError
     TLP_PANIC("unreachable: supervisor retry loop fell through");
 }
 
@@ -416,49 +302,6 @@ TrainSupervisor::publishHealth()
 {
     if (options_.health_out != nullptr)
         *options_.health_out = health_;
-}
-
-TrainCheckpoint
-TrainSupervisor::makeCheckpoint(int epoch) const
-{
-    TrainCheckpoint ckpt;
-    ckpt.epoch = epoch;
-    ckpt.steps_done = steps_done_;
-    ckpt.loss_ewma = loss_ewma_;
-    ckpt.ewma_ready = ewma_ready_;
-    ckpt.health = health_;
-    ckpt.params.resize(params_.size());
-    for (size_t p = 0; p < params_.size(); ++p)
-        ckpt.params[p] = params_[p].value();
-    std::ostringstream buffer(std::ios::binary);
-    BinaryWriter writer(buffer);
-    adam_.serializeState(writer);
-    ckpt.optimizer_state = buffer.str();
-    return ckpt;
-}
-
-void
-TrainSupervisor::endEpoch(int epoch)
-{
-    if (!options_.enabled || options_.checkpoint_path.empty())
-        return;
-    const int every = options_.checkpoint_every > 0
-                          ? options_.checkpoint_every
-                          : 1;
-    if (epoch % every != 0)
-        return;
-    const TrainCheckpoint ckpt = makeCheckpoint(epoch);
-    const Status status =
-        atomicWriteFile(options_.checkpoint_path, [&](std::ostream &os) {
-            writeTrainCheckpoint(os, ckpt);
-        });
-    if (!status.ok()) {
-        warn("training checkpoint write failed (run continues): ",
-             status.toString());
-        return;
-    }
-    health_[HealthEvent::CheckpointWritten]++;
-    publishHealth();
 }
 
 // --- the supervised training loop ---------------------------------------
@@ -515,7 +358,6 @@ trainSupervised(const std::vector<nn::Tensor> &params,
                    " lr ", adam.lr());
         }
         adam.setLr(adam.lr() * lr_decay);
-        supervisor.endEpoch(epoch);
     }
     return epoch_loss;
 }

@@ -82,9 +82,9 @@ struct TrainOptions
     double weight_decay = 1e-6;
     uint64_t seed = 0x7ea1;
     bool verbose = false;
-    /** Training-run supervision (disabled by default: with
-     *  supervisor.enabled == false the loop is byte-for-byte the
-     *  unsupervised one). */
+    /** Training-run supervision (off by default: with
+     *  RecoveryPolicy::Off the loop is byte-for-byte the unsupervised
+     *  one). */
     SupervisorOptions supervisor;
 };
 

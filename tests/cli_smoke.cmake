@@ -51,6 +51,42 @@ if(NOT removed_flag_output MATCHES "unknown flag --legacy-infer")
             "the unknown flag. stderr: ${removed_flag_output}")
 endif()
 
+# --- supervision flags: --collapse-after needs the guarded ladder -------
+
+execute_process(
+    COMMAND "${TUNE_WORKLOAD}" --model random --collapse-after 1
+    RESULT_VARIABLE unguarded_code
+    OUTPUT_QUIET ERROR_VARIABLE unguarded_output)
+if(NOT unguarded_code EQUAL 2)
+    message(FATAL_ERROR
+            "tune_workload --collapse-after 1 without --guarded: expected "
+            "exit 2 (user error), got '${unguarded_code}'. stderr: "
+            "${unguarded_output}")
+endif()
+if(NOT unguarded_output MATCHES "--collapse-after needs --guarded")
+    message(FATAL_ERROR
+            "tune_workload --collapse-after 1 without --guarded: fatal "
+            "message does not name the missing flag. stderr: "
+            "${unguarded_output}")
+endif()
+
+# A collapsing top rung fails over and the search still finishes.
+execute_process(
+    COMMAND "${TUNE_WORKLOAD}" --model random --guarded --collapse-after 1
+        --subgraphs 1
+    RESULT_VARIABLE guarded_code
+    OUTPUT_VARIABLE guarded_output ERROR_VARIABLE guarded_stderr)
+if(NOT guarded_code EQUAL 0)
+    message(FATAL_ERROR
+            "tune_workload --guarded --collapse-after 1: expected exit 0, "
+            "got '${guarded_code}'. stderr: ${guarded_stderr}")
+endif()
+if(NOT guarded_output MATCHES "search health: [^\n]*failover=[1-9]")
+    message(FATAL_ERROR
+            "tune_workload --guarded --collapse-after 1: the search "
+            "health line names no failover. stdout: ${guarded_output}")
+endif()
+
 # --- corrupt artifact must exit 3, with a Status-shaped message ---------
 
 set(garbage "${WORK_DIR}/cli_smoke_garbage.bin")

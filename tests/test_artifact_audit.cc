@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the artifact audit & repair module (DESIGN.md §15): format
- * detection by magic across all five artifacts, the six-way state
+ * detection by magic across every artifact format, the six-way state
  * classification, deterministic reports, repair (quarantine + sweep +
  * dataset salvage), and quarantine-generation collision handling.
  */
@@ -19,7 +19,6 @@
 #include "ir/partition.h"
 #include "models/cost_model.h"
 #include "models/snapshot.h"
-#include "models/supervisor.h"
 #include "support/rng.h"
 #include "support/serialize.h"
 #include "tuner/service/service.h"
@@ -162,27 +161,6 @@ checkpointBytes()
 }
 
 std::string
-trainCheckpointBytes()
-{
-    Rng rng(17);
-    nn::Tensor w = nn::Tensor::randn({4}, rng, 1.0);
-    nn::Adam adam({w}, {.lr = 0.01});
-    model::SupervisorOptions options;
-    options.enabled = true;
-    model::TrainSupervisor supervisor({w}, adam, options);
-    supervisor.step([&] {
-        adam.zeroGrad();
-        auto &grad = w.grad();
-        for (size_t j = 0; j < grad.size(); ++j)
-            grad[j] = 0.25f;
-        return 1.0;
-    });
-    std::ostringstream os(std::ios::binary);
-    model::writeTrainCheckpoint(os, supervisor.makeCheckpoint(1));
-    return os.str();
-}
-
-std::string
 memoBytes(uint64_t fingerprint)
 {
     std::ostringstream os;
@@ -204,7 +182,6 @@ TEST_F(ArtifactAudit, DetectsAllFiveFormatsByMagicPlusCurves)
     plant("w.bin", snapshotBytes());
     plant("m.bin", mlpSnapshotBytes());
     plant("s.bin", checkpointBytes());
-    plant("t.bin", trainCheckpointBytes());
     plant("memo.bin", memoBytes(0xfeedbeef));
     plant("c.curve", curveBytes());
 
@@ -212,8 +189,7 @@ TEST_F(ArtifactAudit, DetectsAllFiveFormatsByMagicPlusCurves)
     const std::pair<const char *, K> expect[] = {
         {"d.bin", K::Dataset},          {"w.bin", K::Snapshot},
         {"m.bin", K::Snapshot},         {"s.bin", K::TuningCheckpoint},
-        {"t.bin", K::TrainCheckpoint},  {"memo.bin", K::BenchMemo},
-        {"c.curve", K::Curve},
+        {"memo.bin", K::BenchMemo},     {"c.curve", K::Curve},
     };
     for (const auto &[name, kind] : expect) {
         const artifact::ArtifactRecord record =

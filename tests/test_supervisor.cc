@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the training-run supervisor and the degraded-mode search:
- * numeric-anomaly detection, rollback-retry, budget watchdogs, TLPT
- * training checkpoints, and the guarded cost-model fallback ladder.
+ * numeric-anomaly detection, rollback-retry, the health-counter layout,
+ * and the guarded cost-model fallback ladder.
  */
 #include <gtest/gtest.h>
 
@@ -57,6 +57,52 @@ TEST(SupervisorHealth, SerializeRoundTrip)
     BinaryReader reader(ss);
     const HealthCounters loaded = HealthCounters::deserialize(reader);
     EXPECT_EQ(loaded, health);
+}
+
+TEST(SupervisorHealth, CounterLayoutIsPinned)
+{
+    // Tuning checkpoints hold HealthCounters by position, so no event
+    // may move; retired events keep their positions and names.
+    ASSERT_EQ(kNumHealthEvents, 14);
+    const char *const names[] = {
+        "nan_loss", "nan_grad", "grad_explosion", "loss_divergence",
+        "rollback", "retry_exhausted", "abort_policy",
+        "wall_clock_budget", "step_budget", "nan_score",
+        "constant_score", "low_rank_correlation", "failover",
+        "checkpoint_written",
+    };
+    for (int e = 0; e < kNumHealthEvents; ++e) {
+        EXPECT_EQ(healthEventName(static_cast<HealthEvent>(e)), names[e])
+            << "position " << e;
+    }
+
+    HealthCounters health;
+    for (int e = 0; e < kNumHealthEvents; ++e)
+        health.counts[static_cast<size_t>(e)] = e + 1;
+    health[HealthEvent::Rollback] = 0x1234;
+    std::ostringstream os(std::ios::binary);
+    BinaryWriter writer(os);
+    health.serialize(writer);
+    const unsigned char expected[] = {
+        14, 0, 0, 0,                  // counter count
+        1, 0, 0, 0, 0, 0, 0, 0,       // nan_loss
+        2, 0, 0, 0, 0, 0, 0, 0,       // nan_grad
+        3, 0, 0, 0, 0, 0, 0, 0,       // grad_explosion
+        4, 0, 0, 0, 0, 0, 0, 0,       // loss_divergence
+        0x34, 0x12, 0, 0, 0, 0, 0, 0, // rollback
+        6, 0, 0, 0, 0, 0, 0, 0,       // retry_exhausted
+        7, 0, 0, 0, 0, 0, 0, 0,       // abort_policy
+        8, 0, 0, 0, 0, 0, 0, 0,       // wall_clock_budget (retired)
+        9, 0, 0, 0, 0, 0, 0, 0,       // step_budget (retired)
+        10, 0, 0, 0, 0, 0, 0, 0,      // nan_score
+        11, 0, 0, 0, 0, 0, 0, 0,      // constant_score
+        12, 0, 0, 0, 0, 0, 0, 0,      // low_rank_correlation
+        13, 0, 0, 0, 0, 0, 0, 0,      // failover
+        14, 0, 0, 0, 0, 0, 0, 0,      // checkpoint_written (retired)
+    };
+    EXPECT_EQ(os.str(),
+              std::string(reinterpret_cast<const char *>(expected),
+                          sizeof(expected)));
 }
 
 TEST(SupervisorHealth, DeserializeToleratesFewerCountersRejectsMore)
@@ -169,7 +215,7 @@ SupervisorOptions
 enabledOptions()
 {
     SupervisorOptions options;
-    options.enabled = true;
+    options.policy = RecoveryPolicy::RollbackRetry;
     return options;
 }
 
@@ -186,9 +232,7 @@ TEST(Supervisor, DisabledPassThroughStepsOptimizer)
 
 TEST(Supervisor, RollbackRestoresLastGoodBitIdentically)
 {
-    SupervisorOptions options = enabledOptions();
-    options.max_retries = 1;
-    Rig rig(options);
+    Rig rig(enabledOptions());
 
     ASSERT_EQ(rig.supervisor.step(rig.healthy()), StepOutcome::Ok);
     const std::vector<float> good = rig.w.value();
@@ -208,8 +252,8 @@ TEST(Supervisor, RollbackRestoresLastGoodBitIdentically)
     EXPECT_DOUBLE_EQ(rig.adam.lr(), 0.05);
 
     const HealthCounters &health = rig.supervisor.health();
-    EXPECT_EQ(health[HealthEvent::NanLoss], 2);   // 1 + max_retries
-    EXPECT_EQ(health[HealthEvent::Rollback], 2);
+    EXPECT_EQ(health[HealthEvent::NanLoss], 1 + 3);   // 3 retries
+    EXPECT_EQ(health[HealthEvent::Rollback], 1 + 3);
     EXPECT_EQ(health[HealthEvent::RetryExhausted], 1);
 
     // The run is not stopped: a later healthy step still applies.
@@ -219,46 +263,40 @@ TEST(Supervisor, RollbackRestoresLastGoodBitIdentically)
 
 TEST(Supervisor, DetectsNanGradAndGradExplosion)
 {
-    SupervisorOptions options = enabledOptions();
-    options.max_retries = 0;
-    Rig rig(options);
+    Rig rig(enabledOptions());
 
+    // Every attempt of each step is unhealthy: 1 + 3 retries apiece.
     auto nan_grad = [&] {
         rig.adam.zeroGrad();
         rig.w.grad()[0] = std::numeric_limits<float>::quiet_NaN();
         return 1.0;
     };
     EXPECT_EQ(rig.supervisor.step(nan_grad), StepOutcome::Skipped);
-    EXPECT_EQ(rig.supervisor.health()[HealthEvent::NanGrad], 1);
+    EXPECT_EQ(rig.supervisor.health()[HealthEvent::NanGrad], 1 + 3);
 
     // Finite but absurd gradients trip the global-norm limit (checked on
     // the raw gradients, before Adam's own clipping).
     auto exploding = rig.healthy(1.0, 1e7f);
     EXPECT_EQ(rig.supervisor.step(exploding), StepOutcome::Skipped);
-    EXPECT_EQ(rig.supervisor.health()[HealthEvent::GradExplosion], 1);
+    EXPECT_EQ(rig.supervisor.health()[HealthEvent::GradExplosion], 1 + 3);
     EXPECT_EQ(rig.supervisor.stepsDone(), 0);
 }
 
 TEST(Supervisor, DetectsLossDivergenceAgainstEwma)
 {
-    SupervisorOptions options = enabledOptions();
-    options.max_retries = 0;
-    Rig rig(options);
+    Rig rig(enabledOptions());
 
     for (int i = 0; i < 3; ++i)
         ASSERT_EQ(rig.supervisor.step(rig.healthy(1.0)), StepOutcome::Ok);
     EXPECT_EQ(rig.supervisor.step(rig.healthy(1e5)), StepOutcome::Skipped);
-    EXPECT_EQ(rig.supervisor.health()[HealthEvent::LossDivergence], 1);
+    EXPECT_EQ(rig.supervisor.health()[HealthEvent::LossDivergence], 1 + 3);
     // A loss just above the trend is NOT divergence.
     EXPECT_EQ(rig.supervisor.step(rig.healthy(2.0)), StepOutcome::Ok);
 }
 
 TEST(Supervisor, LrBackoffAppliesDuringRetryOnly)
 {
-    SupervisorOptions options = enabledOptions();
-    options.max_retries = 2;
-    options.lr_backoff = 0.5;
-    Rig rig(options);
+    Rig rig(enabledOptions());
 
     int calls = 0;
     double retry_lr = 0.0;
@@ -275,7 +313,7 @@ TEST(Supervisor, LrBackoffAppliesDuringRetryOnly)
     };
     EXPECT_EQ(rig.supervisor.step(flaky), StepOutcome::Ok);
     EXPECT_EQ(calls, 2);
-    // The retry ran at lr_backoff x schedule lr (with jitter in [0.9, 1]).
+    // The retry ran at 0.5 x schedule lr (with jitter in [0.9, 1]).
     EXPECT_GE(retry_lr, 0.05 * 0.5 * 0.9 - 1e-12);
     EXPECT_LE(retry_lr, 0.05 * 0.5 + 1e-12);
     // After the step resolves, the schedule lr is back — not sticky.
@@ -304,36 +342,12 @@ TEST(Supervisor, AbortOnFaultPolicyStopsAtFirstFault)
     EXPECT_EQ(rig.supervisor.step(rig.healthy()), StepOutcome::Stop);
 }
 
-TEST(Supervisor, StepBudgetStopsTheRun)
-{
-    SupervisorOptions options = enabledOptions();
-    options.max_steps = 2;
-    Rig rig(options);
-
-    EXPECT_EQ(rig.supervisor.step(rig.healthy()), StepOutcome::Ok);
-    EXPECT_EQ(rig.supervisor.step(rig.healthy()), StepOutcome::Ok);
-    EXPECT_EQ(rig.supervisor.step(rig.healthy()), StepOutcome::Stop);
-    EXPECT_TRUE(rig.supervisor.stopped());
-    EXPECT_EQ(rig.supervisor.health()[HealthEvent::StepBudget], 1);
-    EXPECT_EQ(rig.supervisor.stepsDone(), 2);
-}
-
-TEST(Supervisor, WallClockBudgetStopsTheRun)
-{
-    SupervisorOptions options = enabledOptions();
-    options.max_wall_seconds = 1e-9;
-    Rig rig(options);
-    EXPECT_EQ(rig.supervisor.step(rig.healthy()), StepOutcome::Stop);
-    EXPECT_EQ(rig.supervisor.health()[HealthEvent::WallClockBudget], 1);
-}
-
 TEST(Supervisor, InjectedFaultsRecoverDeterministically)
 {
     // With a fault profile, the same seeds produce the same recovery
     // trajectory and the same final weights, twice.
     auto run = [] {
-        SupervisorOptions options;
-        options.enabled = true;
+        SupervisorOptions options = enabledOptions();
         options.faults = TrainFaultProfile::uniform(0.5, 0x77);
         Rig rig(options);
         for (int i = 0; i < 20; ++i)
@@ -355,9 +369,7 @@ TEST(Supervisor, RetriedAttemptReusesTapePoolPositions)
     // A real graph per attempt under the TapePool a training run opens:
     // a rolled-back retry starts over at position 0 and takes back the
     // buffers its failed attempt handed in, instead of growing the pool.
-    SupervisorOptions options = enabledOptions();
-    options.max_retries = 1;
-    Rig rig(options);
+    Rig rig(enabledOptions());
     const nn::Tensor x = nn::Tensor::randn({32, 6}, rig.rng, 1.0, false);
     nn::TapePool tape;
     int attempts = 0;
@@ -383,76 +395,6 @@ TEST(Supervisor, RetriedAttemptReusesTapePoolPositions)
     EXPECT_EQ(rig.supervisor.health()[HealthEvent::Rollback], 1);
     EXPECT_EQ(tape.positions(), positions);
     EXPECT_EQ(tape.retainedBytes(), bytes);
-}
-
-// --- TLPT training checkpoints -------------------------------------------
-
-TEST(SupervisorCheckpoint, RoundTripPreservesEverything)
-{
-    SupervisorOptions options = enabledOptions();
-    Rig rig(options);
-    for (int i = 0; i < 3; ++i)
-        ASSERT_EQ(rig.supervisor.step(rig.healthy(2.0)), StepOutcome::Ok);
-
-    const TrainCheckpoint ckpt = rig.supervisor.makeCheckpoint(5);
-    std::ostringstream os(std::ios::binary);
-    writeTrainCheckpoint(os, ckpt);
-    std::istringstream is(os.str());
-    auto loaded = loadTrainCheckpoint(is);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
-
-    const TrainCheckpoint &got = loaded.value();
-    EXPECT_EQ(got.epoch, 5);
-    EXPECT_EQ(got.steps_done, 3);
-    EXPECT_DOUBLE_EQ(got.loss_ewma, ckpt.loss_ewma);
-    EXPECT_TRUE(got.ewma_ready);
-    EXPECT_TRUE(got.health == ckpt.health);
-    ASSERT_EQ(got.params.size(), 1u);
-    EXPECT_EQ(got.params[0], rig.w.value());
-    EXPECT_EQ(got.optimizer_state, ckpt.optimizer_state);
-}
-
-TEST(SupervisorCheckpoint, EndEpochWritesLoadableFile)
-{
-    const std::string path =
-        ::testing::TempDir() + "tlp_train_test.ckpt";
-    std::remove(path.c_str());
-
-    SupervisorOptions options = enabledOptions();
-    options.checkpoint_path = path;
-    options.checkpoint_every = 2;
-    Rig rig(options);
-    ASSERT_EQ(rig.supervisor.step(rig.healthy()), StepOutcome::Ok);
-
-    rig.supervisor.endEpoch(1);   // 1 % 2 != 0: no write
-    {
-        std::ifstream probe(path, std::ios::binary);
-        EXPECT_FALSE(probe.good());
-    }
-    rig.supervisor.endEpoch(2);
-    EXPECT_EQ(rig.supervisor.health()[HealthEvent::CheckpointWritten], 1);
-
-    auto loaded = loadTrainCheckpoint(path);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
-    EXPECT_EQ(loaded.value().epoch, 2);
-    EXPECT_EQ(loaded.value().steps_done, 1);
-    std::remove(path.c_str());
-}
-
-TEST(SupervisorCheckpoint, CorruptionComesBackAsStatus)
-{
-    SupervisorOptions options = enabledOptions();
-    Rig rig(options);
-    ASSERT_EQ(rig.supervisor.step(rig.healthy()), StepOutcome::Ok);
-    std::ostringstream os(std::ios::binary);
-    writeTrainCheckpoint(os, rig.supervisor.makeCheckpoint(0));
-    std::string bytes = os.str();
-    bytes[bytes.size() / 2] ^= 0x40;
-
-    std::istringstream is(bytes);
-    const Status status = verifyTrainCheckpoint(is);
-    ASSERT_FALSE(status.ok());
-    EXPECT_EQ(status.code(), ErrorCode::Corrupt);
 }
 
 // --- end-to-end training loops -------------------------------------------
@@ -486,6 +428,12 @@ syntheticSet(int rows, int dim, uint64_t seed)
     return set;
 }
 
+RecoveryPolicy
+policyFor(bool supervised)
+{
+    return supervised ? RecoveryPolicy::RollbackRetry : RecoveryPolicy::Off;
+}
+
 std::vector<std::vector<float>>
 parameterValues(nn::Module &net)
 {
@@ -510,7 +458,7 @@ TEST(SupervisorChaos, FaultyMlpTrainingCompletesViaRollbackRetry)
         options.epochs = 4;
         options.batch_size = 16;
         options.use_rank_loss = false;
-        options.supervisor.enabled = true;
+        options.supervisor.policy = RecoveryPolicy::RollbackRetry;
         options.supervisor.faults = TrainFaultProfile::uniform(0.4, 0x91);
         HealthCounters health;
         options.supervisor.health_out = &health;
@@ -545,7 +493,7 @@ TEST(SupervisorChaos, FaultyPretrainingCompletesViaRollbackRetry)
     PretrainOptions options;
     options.epochs = 2;
     options.batch_size = 16;
-    options.supervisor.enabled = true;
+    options.supervisor.policy = RecoveryPolicy::RollbackRetry;
     options.supervisor.faults = TrainFaultProfile::uniform(0.5, 0x92);
     HealthCounters health;
     options.supervisor.health_out = &health;
@@ -572,7 +520,7 @@ TEST(Supervisor, CleanRunIsBitIdenticalToUnsupervised)
         TrainOptions options;
         options.epochs = 3;
         options.batch_size = 16;
-        options.supervisor.enabled = supervised;
+        options.supervisor.policy = policyFor(supervised);
         const double loss = trainMlp(net, set, options);
         return std::make_pair(loss, parameterValues(net));
     };
@@ -604,13 +552,13 @@ TEST(Supervisor, CleanTlpTrainingIsBitIdenticalToUnsupervised)
             TrainOptions options;
             options.epochs = 2;
             options.batch_size = 16;
-            options.supervisor.enabled = supervised;
+            options.supervisor.policy = policyFor(supervised);
             loss = trainTlpNet(net, set, options);
         } else {
             PretrainOptions options;
             options.epochs = 2;
             options.batch_size = 12;
-            options.supervisor.enabled = supervised;
+            options.supervisor.policy = policyFor(supervised);
             loss = trainer == Trainer::Gpt ? gptPretrain(net, set, options)
                                            : bertPretrain(net, set, options);
         }
@@ -682,15 +630,13 @@ TEST(GuardedModel, FailsOverOnCollapsedScores)
     auto sick = std::make_shared<FaultInjectedCostModel>(
         std::make_shared<RandomCostModel>(21), 1);
     auto fallback = std::make_shared<RandomCostModel>(22);
-    GuardOptions options;
-    options.min_probe_candidates = 2;
     HealthCounters health;
-    options.health_out = &health;
-    GuardedCostModel guarded({sick, fallback}, options);
+    GuardedCostModel guarded({sick, fallback}, &health);
     EXPECT_EQ(guarded.name(), "guarded:random>random");
     EXPECT_EQ(guarded.activeIndex(), 0);
 
-    auto states = someStates(4);
+    // Collapse is judged on populations of at least 8 candidates.
+    auto states = someStates(8);
     std::vector<const sched::State *> ptrs{&states[0], &states[1]};
     guarded.update(0, ptrs, {1.0, 2.0});   // trips the injected collapse
 
@@ -718,9 +664,7 @@ TEST(GuardedModel, FailsOverOnNanScores)
         std::make_shared<RandomCostModel>(23), 2);
     auto fallback = std::make_shared<RandomCostModel>(24);
     HealthCounters health;
-    GuardOptions options;
-    options.health_out = &health;
-    GuardedCostModel guarded({sick, fallback}, options);
+    GuardedCostModel guarded({sick, fallback}, &health);
 
     auto states = someStates(4);
     std::vector<const sched::State *> ptrs{&states[0], &states[1]};
@@ -739,9 +683,7 @@ TEST(GuardedModel, LastRungIsTrustedUnconditionally)
     auto sick = std::make_shared<FaultInjectedCostModel>(
         std::make_shared<RandomCostModel>(25), 1);
     HealthCounters health;
-    GuardOptions options;
-    options.health_out = &health;
-    GuardedCostModel guarded({sick}, options);
+    GuardedCostModel guarded({sick}, &health);
 
     auto states = someStates(3);
     std::vector<const sched::State *> ptrs{&states[0]};
@@ -763,11 +705,9 @@ TEST(GuardedModel, StateRoundTripRestoresPositionHealthAndRngs)
         ladder.push_back(std::make_shared<RandomCostModel>(28));
         return ladder;
     };
-    GuardOptions options;
-    options.min_probe_candidates = 2;
-    GuardedCostModel guarded(makeLadder(), options);
+    GuardedCostModel guarded(makeLadder());
 
-    auto states = someStates(4);
+    auto states = someStates(8);
     std::vector<const sched::State *> ptrs{&states[0], &states[1]};
     guarded.update(0, ptrs, {1.0, 2.0});
     guarded.scoreStates(0, states);   // forces the failover
@@ -777,7 +717,7 @@ TEST(GuardedModel, StateRoundTripRestoresPositionHealthAndRngs)
     BinaryWriter writer(ss);
     guarded.serializeState(writer);
 
-    GuardedCostModel restored(makeLadder(), options);
+    GuardedCostModel restored(makeLadder());
     BinaryReader reader(ss);
     restored.deserializeState(reader);
     EXPECT_EQ(restored.activeIndex(), guarded.activeIndex());
@@ -790,7 +730,7 @@ TEST(GuardedModel, StateRoundTripRestoresPositionHealthAndRngs)
 
 TEST(GuardedModel, RejectsForeignLadderState)
 {
-    GuardedCostModel guarded({std::make_shared<RandomCostModel>(29)}, {});
+    GuardedCostModel guarded({std::make_shared<RandomCostModel>(29)});
 
     std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
     BinaryWriter writer(ss);
@@ -814,11 +754,9 @@ TEST(GuardedModel, SearchSurvivesMidCampaignCollapse)
     // finish its full budget in degraded mode instead of aborting.
     const auto workload = tinyWorkload();
     HealthCounters health;
-    GuardOptions guard_options;
-    guard_options.health_out = &health;
     auto sick = std::make_shared<FaultInjectedCostModel>(
         std::make_shared<RandomCostModel>(31), 2);
-    auto guarded = makeGuardedLadder(sick, guard_options);
+    auto guarded = makeGuardedLadder(sick, &health);
 
     tune::TuneOptions options = quickOptions();
     options.rounds = 8;
@@ -848,11 +786,9 @@ TEST(GuardedModel, CheckpointResumePreservesDegradedState)
     std::remove(ckpt.c_str());
 
     auto makeGuarded = [](HealthCounters *health_out) {
-        GuardOptions guard_options;
-        guard_options.health_out = health_out;
         auto sick = std::make_shared<FaultInjectedCostModel>(
             std::make_shared<RandomCostModel>(33), 2);
-        return makeGuardedLadder(sick, guard_options);
+        return makeGuardedLadder(sick, health_out);
     };
 
     tune::TuneOptions options = quickOptions();
